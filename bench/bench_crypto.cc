@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "crypto/bigint.h"
 #include "crypto/crc32.h"
 #include "crypto/hmac.h"
 #include "crypto/rsa.h"
@@ -74,6 +75,27 @@ void BM_RsaVerify1024(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaVerify1024);
 
+// The pieces of one RsaVerify: a Montgomery context per call, then a public
+// exponentiation (e = 65537: 16 squarings and 1 multiply).
+void BM_MontgomeryCreate1024(benchmark::State& state) {
+  const BigInt& n = Key1024().public_key.n;
+  for (auto _ : state) {
+    auto ctx = MontgomeryContext::Create(n);
+    benchmark::DoNotOptimize(ctx);
+  }
+}
+BENCHMARK(BM_MontgomeryCreate1024);
+
+void BM_ModExpPublic1024(benchmark::State& state) {
+  RsaKeyPair& kp = Key1024();
+  BigInt s = BigInt::FromBytes(RsaSign(kp.private_key, kMessage).value());
+  for (auto _ : state) {
+    auto m = BigInt::ModExp(s, kp.public_key.e, kp.public_key.n);
+    benchmark::DoNotOptimize(m);
+  }
+}
+BENCHMARK(BM_ModExpPublic1024);
+
 void BM_RsaKeygen512(benchmark::State& state) {
   uint64_t seed = 1;
   for (auto _ : state) {
@@ -83,6 +105,18 @@ void BM_RsaKeygen512(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaKeygen512)->Unit(benchmark::kMillisecond);
+
+// Every TrustRuntime derives its own 1024-bit key pair at creation, so this
+// is a fixed cost of bringing up a node.
+void BM_RsaKeygen1024(benchmark::State& state) {
+  uint64_t seed = 1;
+  for (auto _ : state) {
+    SecureRandom rng(seed++);
+    auto kp = RsaGenerateKeyPair(1024, &rng);
+    benchmark::DoNotOptimize(kp);
+  }
+}
+BENCHMARK(BM_RsaKeygen1024)->Unit(benchmark::kMillisecond);
 
 void BM_Crc32(benchmark::State& state) {
   std::string msg(1024, 'x');

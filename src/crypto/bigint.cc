@@ -380,7 +380,8 @@ Result<MontgomeryContext> MontgomeryContext::Create(const BigInt& modulus) {
   }
   MontgomeryContext ctx;
   ctx.n_ = modulus;
-  ctx.k_ = modulus.limbs_.size();
+  const size_t k = modulus.limbs_.size();
+  ctx.k_ = k;
   // n0_inv = -n^{-1} mod 2^64 by Newton iteration (n odd).
   uint64_t n0 = modulus.limbs_[0];
   uint64_t inv = 1;
@@ -388,86 +389,189 @@ Result<MontgomeryContext> MontgomeryContext::Create(const BigInt& modulus) {
     inv *= 2 - n0 * inv;
   }
   ctx.n0_inv_ = ~inv + 1;  // -inv mod 2^64
-  // r2 = (2^(64k))^2 mod n, via shift-and-reduce doubling.
-  BigInt r = BigInt(1);
-  size_t total_bits = 2 * 64 * ctx.k_;
-  for (size_t i = 0; i < total_bits; ++i) {
-    r = r << 1;
-    if (BigInt::CompareMag(r.limbs_, modulus.limbs_) >= 0) {
-      r.limbs_ = BigInt::SubMag(r.limbs_, modulus.limbs_);
-      r.Trim();
-    }
+  // R mod n, R = 2^(64k): start from 2^(bits-1) < n and double the rest of
+  // the way (1..64 doublings).
+  std::vector<uint64_t> r(k, 0);
+  size_t bits = modulus.BitLength();
+  r[(bits - 1) / 64] = uint64_t{1} << ((bits - 1) % 64);
+  for (size_t i = bits - 1; i < 64 * k; ++i) ctx.Double(r.data());
+  // R^2 mod n: with 64k = s * 2^m, doubling s times gives 2^(64k + s), and
+  // each Montgomery squaring x -> x^2 / R doubles the exponent's excess over
+  // 64k, so m squarings reach 2^(64k + s * 2^m) = R^2.
+  size_t s = 64 * k;
+  size_t m = 0;
+  while (s % 2 == 0) {
+    s /= 2;
+    ++m;
   }
-  ctx.r2_ = r;
+  for (size_t i = 0; i < s; ++i) ctx.Double(r.data());
+  std::vector<uint64_t> t(k + 2);
+  for (size_t i = 0; i < m; ++i) {
+    ctx.Mul(r.data(), r.data(), r.data(), t.data());
+  }
+  ctx.r2_ = std::move(r);
   return ctx;
 }
 
-BigInt MontgomeryContext::Redc(std::vector<uint64_t> t) const {
-  // Standard word-by-word Montgomery reduction of a 2k-limb value.
-  t.resize(2 * k_ + 1, 0);
-  const std::vector<uint64_t>& n = n_.limbs_;
+void MontgomeryContext::Double(uint64_t* x) const {
+  uint64_t carry = 0;
   for (size_t i = 0; i < k_; ++i) {
-    uint64_t m = t[i] * n0_inv_;
+    uint64_t next = x[i] >> 63;
+    x[i] = (x[i] << 1) | carry;
+    carry = next;
+  }
+  // x < n before doubling, so 2x < 2n and one subtraction suffices; a
+  // carried-out top bit means 2x >= 2^(64k) > n.
+  if (carry != 0 || !LessThanModulus(x)) SubtractModulus(x, x);
+}
+
+bool MontgomeryContext::LessThanModulus(const uint64_t* x) const {
+  const uint64_t* n = n_.limbs_.data();
+  for (size_t i = k_; i-- > 0;) {
+    if (x[i] != n[i]) return x[i] < n[i];
+  }
+  return false;
+}
+
+void MontgomeryContext::SubtractModulus(const uint64_t* x,
+                                        uint64_t* out) const {
+  // Wraps mod 2^(64k); callers only subtract when the true result is in
+  // [0, n).
+  const uint64_t* n = n_.limbs_.data();
+  uint64_t borrow = 0;
+  for (size_t i = 0; i < k_; ++i) {
+    uint128 diff = static_cast<uint128>(x[i]) - n[i] - borrow;
+    out[i] = static_cast<uint64_t>(diff);
+    borrow = static_cast<uint64_t>(diff >> 64) & 1;
+  }
+}
+
+void MontgomeryContext::Mul(const uint64_t* a, const uint64_t* b,
+                            uint64_t* out, uint64_t* t) const {
+  // CIOS (coarsely integrated operand scanning): interleaves one row of the
+  // schoolbook product with one word of reduction, so t never exceeds
+  // k + 2 limbs and stays below 2n between rows.
+  const uint64_t* n = n_.limbs_.data();
+  const size_t k = k_;
+  std::fill(t, t + k + 2, 0);
+  for (size_t i = 0; i < k; ++i) {
+    const uint64_t bi = b[i];
     uint64_t carry = 0;
-    for (size_t j = 0; j < k_; ++j) {
-      uint128 cur = static_cast<uint128>(m) * n[j] + t[i + j] + carry;
-      t[i + j] = static_cast<uint64_t>(cur);
+    for (size_t j = 0; j < k; ++j) {
+      uint128 cur = static_cast<uint128>(a[j]) * bi + t[j] + carry;
+      t[j] = static_cast<uint64_t>(cur);
       carry = static_cast<uint64_t>(cur >> 64);
     }
-    // Propagate carry.
-    size_t idx = i + k_;
-    while (carry != 0 && idx < t.size()) {
-      uint128 cur = static_cast<uint128>(t[idx]) + carry;
-      t[idx] = static_cast<uint64_t>(cur);
+    uint128 top = static_cast<uint128>(t[k]) + carry;
+    t[k] = static_cast<uint64_t>(top);
+    t[k + 1] = static_cast<uint64_t>(top >> 64);
+    // Add m * n with m chosen so the low word cancels, then shift one word.
+    const uint64_t m = t[0] * n0_inv_;
+    uint128 cur = static_cast<uint128>(m) * n[0] + t[0];
+    carry = static_cast<uint64_t>(cur >> 64);
+    for (size_t j = 1; j < k; ++j) {
+      cur = static_cast<uint128>(m) * n[j] + t[j] + carry;
+      t[j - 1] = static_cast<uint64_t>(cur);
       carry = static_cast<uint64_t>(cur >> 64);
-      ++idx;
     }
+    top = static_cast<uint128>(t[k]) + carry;
+    t[k - 1] = static_cast<uint64_t>(top);
+    t[k] = t[k + 1] + static_cast<uint64_t>(top >> 64);
   }
+  if (t[k] != 0 || !LessThanModulus(t)) {
+    SubtractModulus(t, out);
+  } else {
+    std::copy(t, t + k, out);
+  }
+}
+
+void MontgomeryContext::Load(const BigInt& a, uint64_t* out) const {
+  BigInt reduced;
+  const BigInt* src = &a;
+  if (a.is_negative() || BigInt::CompareMag(a.limbs_, n_.limbs_) >= 0) {
+    reduced = *BigInt::Mod(a, n_);  // n_ > 1, cannot fail
+    src = &reduced;
+  }
+  std::copy(src->limbs_.begin(), src->limbs_.end(), out);
+  std::fill(out + src->limbs_.size(), out + k_, 0);
+}
+
+BigInt MontgomeryContext::Store(const uint64_t* x) const {
   BigInt out;
-  out.limbs_.assign(t.begin() + static_cast<long>(k_), t.end());
+  out.limbs_.assign(x, x + k_);
   out.Trim();
-  if (BigInt::CompareMag(out.limbs_, n) >= 0) {
-    out.limbs_ = BigInt::SubMag(out.limbs_, n);
-    out.Trim();
-  }
   return out;
 }
 
 BigInt MontgomeryContext::MulMont(const BigInt& a, const BigInt& b) const {
-  BigInt prod = a * b;
-  return Redc(std::move(prod.limbs_));
+  std::vector<uint64_t> buf(3 * k_ + 2);
+  uint64_t* x = buf.data();
+  uint64_t* y = x + k_;
+  Load(a, x);
+  Load(b, y);
+  Mul(x, y, x, y + k_);
+  return Store(x);
 }
 
 BigInt MontgomeryContext::ToMont(const BigInt& a) const {
-  return MulMont(a, r2_);
+  std::vector<uint64_t> buf(2 * k_ + 2);
+  Load(a, buf.data());
+  Mul(buf.data(), r2_.data(), buf.data(), buf.data() + k_);
+  return Store(buf.data());
 }
 
 BigInt MontgomeryContext::FromMont(const BigInt& a) const {
-  return Redc(a.limbs_);
+  return MulMont(a, BigInt(1));
 }
 
 BigInt MontgomeryContext::ModExp(const BigInt& base, const BigInt& exp) const {
-  util::Result<BigInt> reduced = BigInt::Mod(base, n_);
-  BigInt b = reduced.ok() ? reduced.value() : BigInt();
   if (exp.is_zero()) return BigInt(1);
-  // 4-bit fixed-window exponentiation.
-  BigInt bm = ToMont(b);
-  BigInt one_m = ToMont(BigInt(1));
-  std::vector<BigInt> table(16);
-  table[0] = one_m;
-  for (int i = 1; i < 16; ++i) table[i] = MulMont(table[i - 1], bm);
-  size_t bits = exp.BitLength();
-  size_t windows = (bits + 3) / 4;
-  BigInt acc = one_m;
-  for (size_t w = windows; w-- > 0;) {
-    for (int s = 0; s < 4; ++s) acc = MulMont(acc, acc);
-    int digit = 0;
-    for (int s = 3; s >= 0; --s) {
-      digit = (digit << 1) | (exp.Bit(w * 4 + s) ? 1 : 0);
+  const size_t k = k_;
+  const size_t bits = exp.BitLength();
+  // Binary square-and-multiply costs bits-1 squarings plus one multiply per
+  // set bit; the 4-bit window trades 14 table multiplies for multiplying
+  // only once per 4 bits, which pays off past about 56 bits.
+  const bool windowed = bits > kShortExponentBits;
+  const size_t entries = windowed ? 15 : 1;  // table[d - 1] = base^d
+  // One scratch block: t (k + 2), acc (k), table (entries * k).
+  std::vector<uint64_t> scratch(k + 2 + k + entries * k);
+  uint64_t* t = scratch.data();
+  uint64_t* acc = t + k + 2;
+  uint64_t* table = acc + k;
+  uint64_t* bm = table;
+  Load(base, acc);
+  Mul(acc, r2_.data(), bm, t);
+  if (!windowed) {
+    std::copy(bm, bm + k, acc);
+    for (size_t i = bits - 1; i-- > 0;) {
+      Mul(acc, acc, acc, t);
+      if (exp.Bit(i)) Mul(acc, bm, acc, t);
     }
-    if (digit != 0) acc = MulMont(acc, table[digit]);
+  } else {
+    for (size_t d = 2; d <= 15; ++d) {
+      Mul(table + (d - 2) * k, bm, table + (d - 1) * k, t);
+    }
+    auto digit_at = [&exp](size_t w) {
+      int digit = 0;
+      for (int s = 3; s >= 0; --s) {
+        digit = (digit << 1) | (exp.Bit(w * 4 + s) ? 1 : 0);
+      }
+      return digit;
+    };
+    size_t windows = (bits + 3) / 4;
+    int top = digit_at(windows - 1);  // nonzero: holds the top set bit
+    std::copy(table + (top - 1) * k, table + top * k, acc);
+    for (size_t w = windows - 1; w-- > 0;) {
+      for (int s = 0; s < 4; ++s) Mul(acc, acc, acc, t);
+      int digit = digit_at(w);
+      if (digit != 0) Mul(acc, table + (digit - 1) * k, acc, t);
+    }
   }
-  return FromMont(acc);
+  // Leave the domain: multiply by plain 1, reusing the base slot.
+  std::fill(bm, bm + k, 0);
+  bm[0] = 1;
+  Mul(acc, bm, acc, t);
+  return Store(acc);
 }
 
 // ---------------------------------------------------------------------------

@@ -67,7 +67,8 @@ class BigInt {
   /// Magnitude modulo a small modulus; requires m != 0 and *this >= 0.
   uint64_t ModUint64(uint64_t m) const;
 
-  /// (base ^ exp) mod m for m odd > 1, exp >= 0. Montgomery ladder inside.
+  /// (base ^ exp) mod m for m odd > 1, exp >= 0. Builds a MontgomeryContext
+  /// per call; see MontgomeryContext::ModExp for the exponent strategy.
   static util::Result<BigInt> ModExp(const BigInt& base, const BigInt& exp,
                                      const BigInt& m);
   /// Multiplicative inverse of a modulo m (extended Euclid); fails if
@@ -113,8 +114,14 @@ class BigInt {
   bool negative_ = false;        // never set when limbs_ is empty
 };
 
-/// Precomputed Montgomery domain for a fixed odd modulus; makes repeated
-/// modular multiplication (the RSA hot path) division-free.
+/// Precomputed Montgomery domain for a fixed odd modulus n of k limbs; makes
+/// repeated modular multiplication (the RSA hot path) division-free.
+///
+/// Every product is one fused CIOS multiply-reduce over fixed k-limb buffers.
+/// Create reaches R mod n with 64k - bits(n) + 1 modular doublings, then
+/// R^2 mod n with odd(k) more doublings and log2(64k / odd(k)) Montgomery
+/// squarings: 12 steps for a 1024-bit modulus, cheap next to one
+/// exponentiation, so contexts are built per call and never cached.
 class MontgomeryContext {
  public:
   /// `modulus` must be odd and > 1.
@@ -122,23 +129,44 @@ class MontgomeryContext {
 
   const BigInt& modulus() const { return n_; }
 
-  /// Converts into / out of the Montgomery domain.
+  /// Converts into / out of the Montgomery domain. Inputs outside [0, n)
+  /// are reduced mod n first.
   BigInt ToMont(const BigInt& a) const;
   BigInt FromMont(const BigInt& a) const;
-  /// Montgomery product of two in-domain values.
+  /// Montgomery product a * b / R mod n of two in-domain values.
   BigInt MulMont(const BigInt& a, const BigInt& b) const;
-  /// (base ^ exp) mod n with base in the normal domain; 4-bit window.
+  /// (base ^ exp) mod n with base in the normal domain (any sign or size).
+  /// Exponents of up to kShortExponentBits bits use left-to-right
+  /// square-and-multiply (e = 65537: 16 squarings and 1 multiply); longer
+  /// ones use a fixed 4-bit window over a 15-entry table. Both run in one
+  /// scratch allocation.
   BigInt ModExp(const BigInt& base, const BigInt& exp) const;
+
+  static constexpr size_t kShortExponentBits = 64;
 
  private:
   MontgomeryContext() = default;
 
-  BigInt Redc(std::vector<uint64_t> t) const;
+  // The limb kernels below work on k-limb little-endian buffers holding
+  // values in [0, n).
+
+  // out = a * b / R mod n. `t` is k + 2 limbs of scratch distinct from the
+  // operands; `out` may alias `a` or `b`.
+  void Mul(const uint64_t* a, const uint64_t* b, uint64_t* out,
+           uint64_t* t) const;
+  // x = 2x mod n.
+  void Double(uint64_t* x) const;
+  bool LessThanModulus(const uint64_t* x) const;
+  // out = x - n mod 2^(64k).
+  void SubtractModulus(const uint64_t* x, uint64_t* out) const;
+  // Writes a mod n into k limbs.
+  void Load(const BigInt& a, uint64_t* out) const;
+  BigInt Store(const uint64_t* x) const;
 
   BigInt n_;
-  uint64_t n0_inv_ = 0;  // -n^{-1} mod 2^64
-  BigInt r2_;            // R^2 mod n, R = 2^(64*k)
-  size_t k_ = 0;         // limb count of n
+  uint64_t n0_inv_ = 0;        // -n^{-1} mod 2^64
+  std::vector<uint64_t> r2_;   // R^2 mod n in k limbs, R = 2^(64*k)
+  size_t k_ = 0;               // limb count of n
 };
 
 /// Miller-Rabin probabilistic primality test; `rounds` random bases drawn

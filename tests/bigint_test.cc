@@ -16,6 +16,24 @@ BigInt FromHexOrDie(std::string_view hex) {
   return r.value();
 }
 
+BigInt ModOrDie(const BigInt& a, const BigInt& m) {
+  auto r = BigInt::Mod(a, m);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.value();
+}
+
+// Oracle: left-to-right square-and-multiply with an explicit Mod after every
+// product; shares nothing with the Montgomery kernel but Mod itself.
+BigInt NaiveModExp(const BigInt& base, const BigInt& exp, const BigInt& m) {
+  BigInt acc(1);
+  BigInt b = ModOrDie(base, m);
+  for (size_t bit = exp.BitLength(); bit-- > 0;) {
+    acc = ModOrDie(acc * acc, m);
+    if (exp.Bit(bit)) acc = ModOrDie(acc * b, m);
+  }
+  return ModOrDie(acc, m);
+}
+
 TEST(BigIntTest, ZeroProperties) {
   BigInt z;
   EXPECT_TRUE(z.is_zero());
@@ -204,18 +222,7 @@ TEST_P(BigIntPropertyTest, MontgomeryMatchesPlainModExp) {
     BigInt exp = rng.RandomBits(16);
     auto fast = BigInt::ModExp(base, exp, m);
     ASSERT_TRUE(fast.ok());
-    // Naive square-and-multiply with explicit Mod.
-    auto naive_mod = [&](const BigInt& x) {
-      auto r = BigInt::Mod(x, m);
-      return r.value();
-    };
-    BigInt acc(1);
-    BigInt b = naive_mod(base);
-    for (size_t bit = exp.BitLength(); bit-- > 0;) {
-      acc = naive_mod(acc * acc);
-      if (exp.Bit(bit)) acc = naive_mod(acc * b);
-    }
-    EXPECT_EQ(*fast, acc);
+    EXPECT_EQ(*fast, NaiveModExp(base, exp, m));
   }
 }
 
@@ -322,6 +329,98 @@ TEST(MontgomeryTest, MulMatchesSchoolbook) {
     EXPECT_EQ(got, *want);
   }
 }
+
+// Montgomery kernel properties per limb count k, against the naive oracle.
+// Widths straddle the 8- and 16-limb RSA-512/1024 shapes; the moduli cover
+// bit lengths that are and are not multiples of 64 and top limbs of 1 and
+// all ones, which set how many doublings Create needs to reach R mod n.
+class MontgomeryPropertyTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  std::vector<BigInt> Moduli(SecureRandom* rng) const {
+    size_t k = GetParam();
+    auto odd = [](BigInt v) { return v.is_odd() ? v : v + BigInt(1); };
+    BigInt low = k > 1 ? rng->RandomBits(64 * (k - 1)) : BigInt();
+    BigInt top_one = (BigInt(1) << (64 * (k - 1))) + low;
+    BigInt top_ones =
+        (BigInt::FromUint64(~uint64_t{0}) << (64 * (k - 1))) + low;
+    std::vector<BigInt> out = {
+        odd(rng->RandomBits(64 * k)),       // full top limb
+        odd(rng->RandomBits(64 * k - 13)),  // not a multiple of 64 bits
+        odd(top_ones),
+    };
+    if (k > 1) out.push_back(odd(top_one));  // k = 1 would make n = 1
+    return out;
+  }
+
+  static std::vector<BigInt> Bases(const BigInt& n, SecureRandom* rng) {
+    size_t bits = n.BitLength();
+    return {BigInt(0),
+            BigInt(1),
+            n - BigInt(1),
+            n,                                   // reduces to 0
+            n * BigInt(3) + rng->RandomBits(bits),  // >= n
+            -rng->RandomBits(bits + 7),          // negative
+            rng->RandomBits(bits - 1)};
+  }
+};
+
+TEST_P(MontgomeryPropertyTest, ModExpMatchesNaiveOracle) {
+  size_t k = GetParam();
+  SecureRandom rng(uint64_t{0x5EED} + k);
+  for (const BigInt& n : Moduli(&rng)) {
+    // Short exponents sit at or below kShortExponentBits (square-and-
+    // multiply); 65 and 512 bits take the 4-bit window.
+    std::vector<BigInt> exps = {BigInt(0),       BigInt(1),
+                                BigInt(2),       BigInt(3),
+                                BigInt(65537),   rng.RandomBits(16),
+                                rng.RandomBits(64),
+                                rng.RandomBits(65)};
+    for (const BigInt& base : Bases(n, &rng)) {
+      for (const BigInt& e : exps) {
+        auto got = BigInt::ModExp(base, e, n);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(*got, NaiveModExp(base, e, n))
+            << "k=" << k << " n=" << n.ToHex() << " base=" << base.ToHex()
+            << " e=" << e.ToHex();
+      }
+    }
+    // One long private-size exponent per modulus keeps the oracle's cost
+    // (an explicit division per bit) bounded.
+    BigInt base = rng.RandomBits(n.BitLength() + 3);
+    BigInt e = rng.RandomBits(512);
+    auto got = BigInt::ModExp(base, e, n);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, NaiveModExp(base, e, n)) << "k=" << k;
+  }
+}
+
+TEST_P(MontgomeryPropertyTest, DomainRoundTripAndProducts) {
+  size_t k = GetParam();
+  SecureRandom rng(uint64_t{0xD0A1} + k);
+  for (const BigInt& n : Moduli(&rng)) {
+    auto ctx = MontgomeryContext::Create(n);
+    ASSERT_TRUE(ctx.ok());
+    EXPECT_EQ(ctx->modulus(), n);
+    BigInt r = BigInt(1) << (64 * k);
+    // ToMont(1) is R mod n, the value Create doubles its way to.
+    EXPECT_EQ(ctx->ToMont(BigInt(1)), ModOrDie(r, n)) << "k=" << k;
+    std::vector<BigInt> values = {BigInt(0), BigInt(1), n - BigInt(1),
+                                  rng.RandomBits(n.BitLength() - 1),
+                                  ModOrDie(rng.RandomBits(64 * k), n)};
+    for (const BigInt& x : values) {
+      BigInt xm = ctx->ToMont(x);
+      EXPECT_EQ(xm, ModOrDie(x * r, n)) << "k=" << k << " x=" << x.ToHex();
+      EXPECT_EQ(ctx->FromMont(xm), x) << "k=" << k << " x=" << x.ToHex();
+      for (const BigInt& y : values) {
+        BigInt prod = ctx->FromMont(ctx->MulMont(xm, ctx->ToMont(y)));
+        EXPECT_EQ(prod, ModOrDie(x * y, n));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Limbs, MontgomeryPropertyTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 9, 16, 17));
 
 }  // namespace
 }  // namespace lbtrust::crypto

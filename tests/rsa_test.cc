@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "trust/trust_runtime.h"
+#include "util/strings.h"
+
 namespace lbtrust::crypto {
 namespace {
 
@@ -135,15 +138,60 @@ TEST(RsaTest, EncryptRejectsOversizedPlaintext) {
   EXPECT_FALSE(RsaEncrypt(kp.public_key, big, &rng).ok());
 }
 
+// The 1024-bit key the benchmarks use, generated once for the suite.
+const RsaKeyPair& Key2009() {
+  static const RsaKeyPair* kp = new RsaKeyPair(TestKeyPair(2009, 1024));
+  return *kp;
+}
+
 TEST(RsaTest, Generate1024BitKey) {
-  SecureRandom rng(uint64_t{2009});
-  auto kp = RsaGenerateKeyPair(1024, &rng);
-  ASSERT_TRUE(kp.ok()) << kp.status().ToString();
-  EXPECT_EQ(kp->public_key.n.BitLength(), 1024u);
-  auto sig = RsaSign(kp->private_key, "paper-figure-2");
+  const RsaKeyPair& kp = Key2009();
+  EXPECT_EQ(kp.public_key.n.BitLength(), 1024u);
+  auto sig = RsaSign(kp.private_key, "paper-figure-2");
   ASSERT_TRUE(sig.ok());
   EXPECT_EQ(sig->size(), 128u);
-  EXPECT_TRUE(RsaVerify(kp->public_key, "paper-figure-2", *sig));
+  EXPECT_TRUE(RsaVerify(kp.public_key, "paper-figure-2", *sig));
+}
+
+// Known answers: mesh nodes derive each other's public keys from a seed
+// (TrustRuntime::DeriveKeyPair), so key generation and signing must stay
+// byte-identical across builds or a mixed-version mesh stops verifying.
+TEST(RsaTest, KnownAnswerKeyGeneration) {
+  EXPECT_EQ(KeyFingerprint(Key2009().public_key), "9b1ce9d78f181549");
+  auto alice = trust::TrustRuntime::DeriveKeyPair("alice", 1, 1024);
+  ASSERT_TRUE(alice.ok()) << alice.status().ToString();
+  EXPECT_EQ(KeyFingerprint(alice->public_key), "6881df31a62aadf6");
+}
+
+TEST(RsaTest, KnownAnswerSignature) {
+  auto sig = RsaSign(Key2009().private_key, "paper-figure-2");
+  ASSERT_TRUE(sig.ok());
+  EXPECT_EQ(util::HexEncode(*sig),
+            "686686c4ccfd26ba61e7cfd1e764b976ea96a575ce641dec70dd88950527cf44"
+            "f381595f9ee9682b56d55380aa89734a8cd63579d4df9bc3d065ac2b435191fe"
+            "a3de22cd825bf235281213b4f3b37c577b8a2a87481314ffe66faa67c3f66383"
+            "72046822bcec0972fe7ac8cee14866d57c81d295188b3ceeae778eb57e955d14");
+}
+
+TEST(RsaTest, Verify1024RejectsForgeries) {
+  const RsaKeyPair& kp = Key2009();
+  const std::string msg = "paper-figure-2";
+  auto sig = RsaSign(kp.private_key, msg);
+  ASSERT_TRUE(sig.ok());
+  ASSERT_TRUE(RsaVerify(kp.public_key, msg, *sig));
+
+  std::string flipped = *sig;
+  flipped.back() = static_cast<char>(flipped.back() ^ 0x01);
+  EXPECT_FALSE(RsaVerify(kp.public_key, msg, flipped));
+
+  const BigInt& n = kp.public_key.n;
+  EXPECT_FALSE(RsaVerify(kp.public_key, msg, (n - BigInt(1)).ToBytes(128)));
+  EXPECT_FALSE(RsaVerify(kp.public_key, msg, n.ToBytes(128)));
+  EXPECT_FALSE(RsaVerify(kp.public_key, msg, sig->substr(0, 127)));
+
+  auto other = trust::TrustRuntime::DeriveKeyPair("alice", 1, 1024);
+  ASSERT_TRUE(other.ok());
+  EXPECT_FALSE(RsaVerify(other->public_key, msg, *sig));
 }
 
 TEST(RsaTest, RejectsBadKeySize) {

@@ -1,33 +1,30 @@
 #!/usr/bin/env bash
-# Runs the engine/relation/distributed/observability benchmarks and merges
-# the results into one machine-readable "name -> ns/op" JSON, so the
-# performance trajectory is diffable across PRs (BENCH_PR9.json is the
-# current capture — it adds the live-introspection series
-# BM_FixpointWithHttpExporter/{64,128}: the instrumented TC fixpoint with
-# an idle HTTP exporter attached and polled per wave, gating that the
-# /metrics endpoint is free when nobody scrapes; the sharded-merge grid
-# BM_ParallelMergeScaling/{1,2,4}/{1,2,4,8} and the
-# BM_TransitiveClosureSemiNaive/128/{1,2,4} trajectory carry forward;
-# CI regenerates the report on every push and uploads it as an artifact).
+# Runs the engine/relation/distributed/observability/crypto benchmarks and
+# merges the results into one machine-readable "name -> ns/op" JSON, stamped
+# with the host and build it ran on (nproc, affinity mask, CPU model,
+# compiler, build type, git SHA), so reports are only compared when they
+# come from the same host. The checked-in BENCH_PR*.json files are past
+# captures; a fresh report goes under the build directory unless an output
+# path is given.
 #
 # Usage: tools/bench_report.sh [build-dir] [out-json]
 #   build-dir  defaults to build-bench (configured Release + benches if it
 #              does not exist yet; an existing build dir is reused as-is,
 #              so you can point it at a RelWithDebInfo tree for
 #              apples-to-apples before/after runs)
-#   out-json   defaults to BENCH_PR9.json in the repo root
+#   out-json   defaults to <build-dir>/bench_report.json
 # Environment:
 #   BENCH_BUILD_TYPE   CMake build type for a fresh build dir (Release)
 #   BENCH_TARGETS      space-separated bench binaries (bench_engine
-#                      bench_relation bench_dist bench_obs)
+#                      bench_relation bench_dist bench_obs bench_crypto)
 #   BENCH_MIN_TIME     --benchmark_min_time per bench (0.2)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-bench}"
-OUT="${2:-BENCH_PR9.json}"
-TARGETS=(${BENCH_TARGETS:-bench_engine bench_relation bench_dist bench_obs})
+OUT="${2:-${BUILD_DIR}/bench_report.json}"
+TARGETS=(${BENCH_TARGETS:-bench_engine bench_relation bench_dist bench_obs bench_crypto})
 MIN_TIME="${BENCH_MIN_TIME:-0.2}"
 
 if [[ ! -f "${BUILD_DIR}/CMakeCache.txt" ]]; then
@@ -50,6 +47,8 @@ done
 
 python3 - "${OUT}" "${BUILD_DIR}" "${TMP}"/*.json <<'EOF'
 import json
+import os
+import subprocess
 import sys
 
 out_path, build_dir = sys.argv[1], sys.argv[2]
@@ -64,14 +63,40 @@ for path in sys.argv[3:]:
         ns = bench["real_time"] * scale[bench.get("time_unit", "ns")]
         merged[bench["name"]] = round(ns, 1)
 
-build_type = ""
+cache = {}
 with open(f"{build_dir}/CMakeCache.txt") as f:
     for line in f:
-        if line.startswith("CMAKE_BUILD_TYPE:"):
-            build_type = line.split("=", 1)[1].strip()
+        key, sep, value = line.partition("=")
+        if sep and not line.startswith(("#", "//")):
+            cache[key.split(":", 1)[0]] = value.strip()
+
+def first_line(cmd):
+    try:
+        out = subprocess.run(cmd, check=True, capture_output=True, text=True)
+        return out.stdout.splitlines()[0].strip()
+    except (OSError, subprocess.CalledProcessError, IndexError):
+        return None
+
+cpu = "unknown"
+with open("/proc/cpuinfo") as f:
+    for line in f:
+        if line.startswith("model name"):
+            cpu = line.split(":", 1)[1].strip()
+            break
+
+cpus = sorted(os.sched_getaffinity(0))
+
 out = {
     "unit": "ns/op",
-    "build_type": build_type or "RelWithDebInfo (default)",
+    "build_type": cache.get("CMAKE_BUILD_TYPE") or "RelWithDebInfo (default)",
+    "host": {
+        "nproc": len(cpus),
+        "affinity": hex(sum(1 << c for c in cpus)),
+        "cpu": cpu,
+        "compiler": first_line([cache.get("CMAKE_CXX_COMPILER", "c++"),
+                                "--version"]),
+        "git_sha": first_line(["git", "rev-parse", "HEAD"]),
+    },
     "benchmarks": merged,
 }
 with open(out_path, "w") as f:
