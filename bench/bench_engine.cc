@@ -9,6 +9,8 @@
 #include "datalog/parser.h"
 #include "datalog/pretty.h"
 #include "datalog/workspace.h"
+#include "meta/codegen.h"
+#include "trust/trust_runtime.h"
 #include "util/strings.h"
 
 namespace {
@@ -390,5 +392,42 @@ void BM_ConstraintCheckOverhead(benchmark::State& state) {
 BENCHMARK(BM_ConstraintCheckOverhead)
     ->Args({10000, 0})
     ->Args({10000, 1});
+
+// The credential-renewal shape: a TrustRuntime holding N quoted facts said
+// to it (says1 activates each into the EDB) commits one `says` fact it
+// already holds. The commit adds no row, so the fixpoint epilogue (the
+// `active` scan and the says0 constraint check) should cost the same at
+// every N.
+void BM_DuplicateSaysCommit(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  lbtrust::trust::TrustRuntime::Options opts;
+  opts.principal = "svc";
+  opts.rsa_bits = 512;
+  opts.workspace.threads = 1;
+  auto rt = lbtrust::trust::TrustRuntime::Create(opts);
+  if (!rt.ok()) {
+    state.SkipWithError(rt.status().ToString().c_str());
+    return;
+  }
+  lbtrust::datalog::Transaction load = (*rt)->Begin();
+  for (int i = 0; i < n; ++i) {
+    load.Say("svc", lbtrust::util::StrCat("held(", i, ")."));
+  }
+  auto st = load.Commit();
+  if (!st.ok()) state.SkipWithError(st.ToString().c_str());
+  auto quoted = lbtrust::meta::QuoteRuleText("held(0).");
+  if (!quoted.ok()) {
+    state.SkipWithError(quoted.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    lbtrust::datalog::Transaction txn = (*rt)->Begin();
+    txn.AddFact("says", {Value::Sym("svc"), Value::Sym("svc"), *quoted});
+    auto cst = txn.Commit();
+    if (!cst.ok()) state.SkipWithError(cst.ToString().c_str());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DuplicateSaysCommit)->Arg(64)->Arg(1024);
 
 }  // namespace

@@ -2097,12 +2097,12 @@ Status Evaluator::Run(const std::vector<CompiledRule*>& rules,
 Status Evaluator::RunIncremental(const std::vector<CompiledRule*>& rules,
                                  const Stratification& strat,
                                  const Limits& limits,
-                                 std::map<std::string, Relation> seed) {
+                                 std::map<std::string, Relation>* changed) {
   size_t total_tuples = 0;
   // Predicates changed so far: the EDB seed plus everything derived by
   // lower strata during this call. Entries drive the round-0 delta joins
   // of each stratum exactly once.
-  std::map<std::string, Relation>& accumulated = seed;
+  std::map<std::string, Relation>& accumulated = *changed;
 
   for (size_t level = 0; level < strat.strata.size(); ++level) {
     std::vector<CompiledRule*> stratum_rules;

@@ -239,14 +239,16 @@ class Evaluator {
 
   /// Incremental (delta-seeded) counterpart of Run(): assumes the store
   /// already holds a complete fixpoint of the rules minus the tuples in
-  /// `seed` (newly inserted EDB tuples, already present in the store), and
-  /// extends the store with every additional consequence. Sound only for
+  /// `*changed` (newly inserted EDB tuples, already present in the store),
+  /// and extends the store with every additional consequence. On return
+  /// `*changed` holds every row the call added to the store, per
+  /// predicate: the seed plus each stratum's new rows. Sound only for
   /// additive change sets that cannot reach a negated or aggregated body
   /// literal — the caller (Workspace::Fixpoint) checks eligibility.
   util::Status RunIncremental(const std::vector<CompiledRule*>& rules,
                               const Stratification& strat,
                               const Limits& limits,
-                              std::map<std::string, Relation> seed);
+                              std::map<std::string, Relation>* changed);
 
   /// Evaluates a body-only query (constraint checks, Workspace::Query),
   /// invoking `cb` once per solution with the rule's bindings.

@@ -37,6 +37,33 @@ size_t ResolveShards(size_t configured, unsigned threads) {
                           Relation::kMaxShards);
 }
 
+/// True when every head of the fact `rule`, with `me` read as `principal`,
+/// is already in `edb`, so activating it would change nothing. Reads the
+/// shared quoted rule in place: only head terms are resolved, one at a time.
+bool FactHeldInEdb(const Rule& rule, const std::string& principal,
+                   const RelationStore& edb) {
+  VarTable no_vars;
+  Bindings no_bindings;
+  for (const Atom& h : rule.heads) {
+    const Relation* rel = edb.Get(h.predicate);
+    if (rel == nullptr) return false;
+    Tuple tuple;
+    auto append = [&](const Term& t) {
+      Result<Value> v =
+          EvalGroundTerm(ResolveMeTerm(t, principal), no_vars, no_bindings);
+      if (!v.ok()) return false;
+      tuple.push_back(std::move(*v));
+      return true;
+    };
+    if (h.partition && !append(*h.partition)) return false;
+    for (const Term& t : h.args) {
+      if (!append(t)) return false;
+    }
+    if (!rel->Contains(tuple)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 Workspace::Workspace(Options options)
@@ -690,6 +717,7 @@ Status Workspace::CompileConstraint(Constraint constraint) {
   cc->label = constraint.label;
   cc->source = std::move(constraint);
   constraints_.push_back(std::move(cc));
+  constraints_clean_ = false;
   ++next_constraint_id_;
   return util::OkStatus();
 }
@@ -716,6 +744,7 @@ Status Workspace::RemoveConstraintsByLabel(const std::string& label) {
       }
     }
     it = constraints_.erase(it);
+    constraints_clean_ = false;
   }
   if (!found) {
     return util::NotFound(util::StrCat("no constraint labeled '", label,
@@ -767,7 +796,7 @@ Status Workspace::RunRules() {
                        options_.naive_eval);
 }
 
-Status Workspace::RunRulesDelta(std::map<std::string, Relation> seed) {
+Status Workspace::RunRulesDelta(std::map<std::string, Relation>* changed) {
   std::vector<CompiledRule*> compiled;
   compiled.reserve(rules_.size());
   for (const auto& r : rules_) compiled.push_back(r->compiled.get());
@@ -776,7 +805,7 @@ Status Workspace::RunRulesDelta(std::map<std::string, Relation> seed) {
                       ResolveThreads(options_.threads), &worker_pool_,
                       metrics_.get(), tracer_);
   return evaluator.RunIncremental(compiled, *strat, options_.limits,
-                                  std::move(seed));
+                                  changed);
 }
 
 bool Workspace::DeltaFixpointEligible() const {
@@ -821,46 +850,30 @@ bool Workspace::DeltaFixpointEligible() const {
   return true;
 }
 
-Result<int> Workspace::ScanAndInstallActive() {
-  const Relation* active = store_.Get("active");
-  if (active == nullptr || active->arity() != 1) return 0;
-  std::vector<Rule> pending;
-  for (uint32_t i : active->Rows()) {
-    Value v = active->ValueAt(i, 0);
+Result<int> Workspace::ScanAndInstallActive(const Relation* rows) {
+  if (rows == nullptr || rows->arity() != 1) return 0;
+  last_active_scanned_ += rows->size();
+  // Collect first, then install: installs grow the rule set and the EDB,
+  // which the filters below read.
+  std::vector<std::shared_ptr<const Rule>> pending;
+  for (uint32_t i : rows->Rows()) {
+    Value v = rows->ValueAt(i, 0);
     if (v.kind() != ValueKind::kCode) continue;
     const CodeValue& code = v.AsCode();
     if (code.what != CodeValue::What::kRule) continue;
     if (rules_by_canon_.count(code.canon) > 0) continue;
-    // Ground facts activated via `active` land in the EDB; skip if present.
-    pending.push_back(CloneRule(*code.rule));
+    pending.push_back(code.rule);
   }
   int installed = 0;
-  for (Rule& rule : pending) {
-    Rule resolved = ResolveMeRule(rule, options_.principal);
-    if (resolved.IsFact()) {
-      // Check EDB membership to avoid infinite re-activation.
-      bool all_present = true;
-      for (const Atom& h : resolved.heads) {
-        VarTable no_vars;
-        Bindings no_bindings;
-        Tuple tuple;
-        bool ground = true;
-        if (h.partition) {
-          Result<Value> v = EvalGroundTerm(*h.partition, no_vars, no_bindings);
-          if (!v.ok()) { ground = false; } else { tuple.push_back(*v); }
-        }
-        for (const Term& t : h.args) {
-          Result<Value> v = EvalGroundTerm(t, no_vars, no_bindings);
-          if (!v.ok()) { ground = false; break; }
-          tuple.push_back(*v);
-        }
-        const Relation* rel = ground ? edb_.Get(h.predicate) : nullptr;
-        if (!ground || rel == nullptr || !rel->Contains(tuple)) {
-          all_present = false;
-        }
-      }
-      if (all_present) continue;
+  for (const std::shared_ptr<const Rule>& quoted : pending) {
+    // Ground facts activated via `active` land in the EDB; skipping those
+    // already there avoids infinite re-activation.
+    if (quoted->IsFact() &&
+        FactHeldInEdb(*quoted, options_.principal, edb_)) {
+      continue;
     }
+    Rule resolved = ResolveMeRule(*quoted, options_.principal);
+    const size_t rules_before = rules_.size();
     for (const Atom& head : resolved.heads) {
       Rule single;
       single.label = resolved.label;
@@ -872,7 +885,9 @@ Result<int> Workspace::ScanAndInstallActive() {
                                          /*hidden=*/false,
                                          /*from_activation=*/true));
     }
-    ++installed;
+    // A fact that got here inserted a missing head. A rule counts only if
+    // it added one: a multi-head rule's parts may all be installed already.
+    if (resolved.IsFact() || rules_.size() > rules_before) ++installed;
   }
   return installed;
 }
@@ -916,6 +931,7 @@ Status Workspace::Fixpoint() {
   const int full_before = full_eval_rounds_;
   const int delta_before = delta_eval_rounds_;
   Status status = FixpointImpl();
+  if (!status.ok()) constraints_clean_ = false;
   if (metrics_ != nullptr) {
     fixpoint_latency_us_->Observe(obs::Tracer::NowMicros() - start_us);
     fixpoints_full_->Add(
@@ -927,6 +943,9 @@ Status Workspace::Fixpoint() {
     span.set_args(util::StrCat(
         "\"path\":\"", last_fixpoint_incremental_ ? "delta" : "full",
         "\",\"codegen_rounds\":", last_codegen_rounds_,
+        ",\"active_scanned\":", last_active_scanned_,
+        ",\"constraints_checked\":",
+        last_constraints_checked_ ? "true" : "false",
         ",\"ok\":", status.ok() ? "true" : "false"));
   }
   return status;
@@ -935,38 +954,44 @@ Status Workspace::Fixpoint() {
 Status Workspace::FixpointImpl() {
   violations_.clear();
   last_codegen_rounds_ = 0;
+  last_active_scanned_ = 0;
+  last_constraints_checked_ = false;
   if (options_.track_provenance) provenance_.Clear();
   for (int round = 0; round < options_.max_codegen_rounds; ++round) {
     ++last_codegen_rounds_;
-    if (DeltaFixpointEligible()) {
+    // Rows this round added to the store (delta path only).
+    std::map<std::string, Relation> changed;
+    const bool delta = DeltaFixpointEligible();
+    if (delta) {
       // Delta-aware path: extend the store in place, seeding semi-naive
       // evaluation from the EDB tuples inserted since the last run. An
       // empty delta set means the store is already the fixpoint and rule
       // evaluation is skipped outright.
       last_fixpoint_incremental_ = true;
       ++delta_eval_rounds_;
-      std::map<std::string, Relation> seed;
       for (auto& [pred, rel] : edb_delta_) {
         Relation* dst = store_.GetOrCreate(pred, rel.arity());
         for (uint32_t i : rel.Rows()) {
           if (dst->InsertIds(rel.RowIds(i))) {
             auto [it, fresh] =
-                seed.try_emplace(pred, Relation(rel.arity(), &pool_));
+                changed.try_emplace(pred, Relation(rel.arity(), &pool_));
             (void)fresh;
             it->second.AppendUnchecked(rel.RowIds(i));
           }
         }
       }
       edb_delta_.clear();
-      if (!seed.empty()) {
+      if (!changed.empty()) {
+        constraints_clean_ = false;
         store_valid_ = false;  // invalid while mid-extension
-        LB_RETURN_IF_ERROR(RunRulesDelta(std::move(seed)));
+        LB_RETURN_IF_ERROR(RunRulesDelta(&changed));
         store_valid_ = true;
       }
     } else {
       // Full rebuild: clear the store and recompute from the EDB.
       last_fixpoint_incremental_ = false;
       ++full_eval_rounds_;
+      constraints_clean_ = false;
       store_valid_ = false;
       edb_delta_.clear();
       LB_RETURN_IF_ERROR(PrepareStore());
@@ -975,11 +1000,26 @@ Status Workspace::FixpointImpl() {
       rules_dirty_ = false;
       edb_removed_ = false;
     }
-    LB_ASSIGN_OR_RETURN(int installed, ScanAndInstallActive());
+    // Every older `active` row was examined after the fixpoint that added
+    // it, and whatever could change that verdict (fact removal, rule churn)
+    // forces a full round. A delta round examines only its own new rows,
+    // unless an earlier scan failed part-way.
+    const Relation* scan = store_.Get("active");
+    if (delta && !rescan_active_) {
+      auto it = changed.find("active");
+      scan = it != changed.end() ? &it->second : nullptr;
+    }
+    rescan_active_ = true;
+    LB_ASSIGN_OR_RETURN(int installed, ScanAndInstallActive(scan));
+    rescan_active_ = false;
     if (installed == 0) {
-      if (options_.check_constraints) {
+      // A store that passed the check and has not changed since needs no
+      // second look.
+      if (options_.check_constraints && !constraints_clean_) {
+        last_constraints_checked_ = true;
         CheckConstraints();
-        if (!violations_.empty()) {
+        constraints_clean_ = violations_.empty();
+        if (!constraints_clean_) {
           return util::ConstraintViolation(util::StrCat(
               violations_.size(), " violation(s); first: ", violations_[0]));
         }

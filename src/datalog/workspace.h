@@ -178,10 +178,13 @@ class Transaction {
 /// churn, no fact retraction, and the inserted relations cannot reach a
 /// negated or aggregated body literal — it seeds semi-naive evaluation from
 /// those deltas on top of the existing store instead of clearing and
-/// rebuilding it. All other mutations fall back to the full rebuild, so
+/// rebuilding it. The epilogue is delta-proportional too: meta-activation
+/// examines only the `active` rows that round added, and the constraint
+/// check is skipped when the fixpoint left an already-checked store
+/// unchanged. All other mutations fall back to the full rebuild, so
 /// results are always identical to a from-scratch evaluation (the
 /// differential tests in tests/datalog_workspace_test.cc enforce this
-/// against the naive evaluator).
+/// against the full-rebuild and naive evaluators).
 ///
 /// The `me` keyword in loaded programs resolves to the workspace principal
 /// (or to an explicit principal via the *As APIs, which is how the §9 demo
@@ -453,8 +456,11 @@ class Workspace {
   util::Status PrepareStore();
   util::Status FixpointImpl();
   util::Status RunRules();
-  util::Status RunRulesDelta(std::map<std::string, Relation> seed);
-  util::Result<int> ScanAndInstallActive();
+  /// `*changed`: the EDB seed in, every row the evaluation added out.
+  util::Status RunRulesDelta(std::map<std::string, Relation>* changed);
+  /// Installs what the `active` rows in `rows` (null: none) activate;
+  /// returns how many rows changed the rule set or the EDB.
+  util::Result<int> ScanAndInstallActive(const Relation* rows);
   void CheckConstraints();
 
   /// Bookkeeping for the delta-aware fixpoint: every EDB insertion lands
@@ -508,6 +514,14 @@ class Workspace {
   bool rules_dirty_ = true;    ///< rule/constraint churn since last run
   bool edb_removed_ = false;   ///< a fact retraction since last run
   bool last_fixpoint_incremental_ = false;
+  /// Set while an `active` scan runs; a scan that fails part-way leaves it
+  /// set, so the next fixpoint examines every `active` row again.
+  bool rescan_active_ = false;
+  /// The store passed CheckConstraints() and neither it nor the
+  /// constraint set changed since.
+  bool constraints_clean_ = false;
+  size_t last_active_scanned_ = 0;
+  bool last_constraints_checked_ = false;
   int full_eval_rounds_ = 0;
   int delta_eval_rounds_ = 0;
 

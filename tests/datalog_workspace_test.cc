@@ -1,6 +1,8 @@
 #include "datalog/workspace.h"
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "datalog/pretty.h"
 #include "trust/auth_scheme.h"
 #include "trust/trust_runtime.h"
+#include "util/strings.h"
 
 namespace lbtrust::datalog {
 namespace {
@@ -362,38 +365,53 @@ TEST(TransactionTest, RemoveRuleAndProgramOps) {
 // Delta-aware fixpoint: differential correctness
 // ---------------------------------------------------------------------------
 
-// Runs the same mutation sequence against a delta-aware workspace and a
-// naive-evaluation reference; after every Fixpoint() the visible stores
-// must be byte-identical.
+// Runs the same mutation sequence against a delta-aware workspace, a
+// full-rebuild workspace and a naive-evaluation reference; after every
+// Fixpoint() all three report the same status and byte-identical stores.
 class DifferentialHarness {
  public:
   DifferentialHarness() {
     Workspace::Options naive;
     naive.naive_eval = true;
+    Workspace::Options full;
+    full.delta_fixpoint = false;
     ref_ = std::make_unique<Workspace>(naive);
+    full_ = std::make_unique<Workspace>(full);
     dut_ = std::make_unique<Workspace>();
   }
 
   void Apply(const std::function<util::Status(Workspace*)>& op) {
     auto st_ref = op(ref_.get());
+    auto st_full = op(full_.get());
     auto st_dut = op(dut_.get());
+    ASSERT_EQ(st_ref.code(), st_full.code())
+        << st_ref.ToString() << " vs " << st_full.ToString();
     ASSERT_EQ(st_ref.code(), st_dut.code())
         << st_ref.ToString() << " vs " << st_dut.ToString();
   }
 
   void FixpointAndCompare() {
     auto st_ref = ref_->Fixpoint();
+    auto st_full = full_->Fixpoint();
     auto st_dut = dut_->Fixpoint();
+    last_code_ = st_ref.code();
+    ASSERT_EQ(st_ref.code(), st_full.code())
+        << st_ref.ToString() << " vs " << st_full.ToString();
     ASSERT_EQ(st_ref.code(), st_dut.code())
         << st_ref.ToString() << " vs " << st_dut.ToString();
+    EXPECT_EQ(Snapshot(*ref_), Snapshot(*full_));
     EXPECT_EQ(Snapshot(*ref_), Snapshot(*dut_));
   }
 
   Workspace* dut() { return dut_.get(); }
+  /// Status code of the reference's last Fixpoint().
+  util::StatusCode last_code() const { return last_code_; }
 
  private:
   std::unique_ptr<Workspace> ref_;
+  std::unique_ptr<Workspace> full_;
   std::unique_ptr<Workspace> dut_;
+  util::StatusCode last_code_ = util::StatusCode::kOk;
 };
 
 TEST(DeltaFixpointTest, DifferentialInterleavedMutations) {
@@ -506,35 +524,133 @@ TEST(DeltaFixpointTest, DifferentialConstraintsAndActivation) {
   EXPECT_EQ(*h.dut()->Count("q(5)"), 1u);
 }
 
-// Full-stack differential: a TrustRuntime pair (delta-aware vs naive
-// reference) driven through says/UseScheme reconfiguration, the ISSUE's
-// interleaved AddFact/RemoveFact/RemoveRule/UseScheme sequence.
-TEST(DeltaFixpointTest, DifferentialTrustRuntimeUseScheme) {
-  auto make = [](bool naive) {
-    trust::TrustRuntime::Options opts;
-    opts.principal = "alice";
-    opts.rsa_bits = 512;
-    opts.workspace.naive_eval = naive;
-    auto rt = trust::TrustRuntime::Create(opts);
-    EXPECT_TRUE(rt.ok());
-    return std::move(*rt);
-  };
-  auto ref = make(true);
-  auto dut = make(false);
+// A violation must not be forgotten by a fixpoint that changes nothing:
+// the delta path may skip the check only on a store that passed it.
+TEST(DeltaFixpointTest, DifferentialViolationPersistsAcrossNoChangeFixpoint) {
+  DifferentialHarness h;
+  h.Apply([](Workspace* ws) {
+    return ws->Load("c9: p(X) -> t(X).\nt(1). p(1).");
+  });
+  h.FixpointAndCompare();
+  ASSERT_EQ(h.last_code(), util::StatusCode::kOk);
+  h.Apply([](Workspace* ws) {
+    return ws->AddFact("p", {Value::Int(5)});
+  });
+  h.FixpointAndCompare();
+  EXPECT_EQ(h.last_code(), util::StatusCode::kConstraintViolation);
+  h.FixpointAndCompare();
+  EXPECT_EQ(h.last_code(), util::StatusCode::kConstraintViolation);
+  EXPECT_TRUE(h.dut()->last_fixpoint_incremental());
+  // A duplicate insert is still no change.
+  h.Apply([](Workspace* ws) {
+    return ws->AddFact("p", {Value::Int(5)});
+  });
+  h.FixpointAndCompare();
+  EXPECT_EQ(h.last_code(), util::StatusCode::kConstraintViolation);
+  // Repairing the store clears it on every side.
+  h.Apply([](Workspace* ws) {
+    return ws->AddFact("t", {Value::Int(5)});
+  });
+  h.FixpointAndCompare();
+  EXPECT_EQ(h.last_code(), util::StatusCode::kOk);
+  h.FixpointAndCompare();
+  EXPECT_EQ(h.last_code(), util::StatusCode::kOk);
+}
 
-  auto both = [&](const std::function<util::Status(trust::TrustRuntime*)>& op) {
-    auto st_ref = op(ref.get());
-    auto st_dut = op(dut.get());
-    ASSERT_EQ(st_ref.code(), st_dut.code())
-        << st_ref.ToString() << " vs " << st_dut.ToString();
-  };
-  auto compare = [&]() {
-    auto st_ref = ref->Fixpoint();
-    auto st_dut = dut->Fixpoint();
-    ASSERT_EQ(st_ref.code(), st_dut.code())
-        << st_ref.ToString() << " vs " << st_dut.ToString();
-    EXPECT_EQ(Snapshot(*ref->workspace()), Snapshot(*dut->workspace()));
-  };
+// An activated rule that cannot compile (unsafe head variable) fails the
+// fixpoint that activates it and every later one, including fixpoints
+// that change nothing, exactly as a full rebuild would.
+TEST(DeltaFixpointTest, DifferentialActivationFailureIsSticky) {
+  DifferentialHarness h;
+  h.Apply([](Workspace* ws) {
+    return ws->Load("active([| bad(X) <- trig(1). |]) <- trig(Y).\n"
+                    "seen(1).");
+  });
+  h.FixpointAndCompare();
+  ASSERT_EQ(h.last_code(), util::StatusCode::kOk);
+  // The trigger arrives as an EDB-only delta: the DUT activates on the
+  // delta path, from the new `active` rows alone.
+  h.Apply([](Workspace* ws) {
+    return ws->AddFact("trig", {Value::Int(1)});
+  });
+  h.FixpointAndCompare();
+  const util::StatusCode failed = h.last_code();
+  EXPECT_NE(failed, util::StatusCode::kOk);
+  for (int i = 0; i < 2; ++i) {
+    h.FixpointAndCompare();
+    EXPECT_EQ(h.last_code(), failed);
+  }
+  // Unrelated growth does not clear it either.
+  h.Apply([](Workspace* ws) {
+    return ws->AddFact("seen", {Value::Int(2)});
+  });
+  h.FixpointAndCompare();
+  EXPECT_EQ(h.last_code(), failed);
+}
+
+// A quoted multi-head rule installs as single-head parts whose canons
+// differ from the quoted one. Re-examining its `active` row must count as
+// no change, so every path quiesces.
+TEST(DeltaFixpointTest, DifferentialMultiHeadActivationQuiesces) {
+  DifferentialHarness h;
+  h.Apply([](Workspace* ws) { return ws->Load("go(1)."); });
+  h.FixpointAndCompare();
+  h.Apply([](Workspace* ws) {
+    return ws->Load("active([| a(X), b(X) <- go(X). |]) <- go(1).");
+  });
+  h.FixpointAndCompare();
+  EXPECT_EQ(h.last_code(), util::StatusCode::kOk);
+  EXPECT_EQ(*h.dut()->Count("b(1)"), 1u);
+  h.Apply([](Workspace* ws) { return ws->AddFact("go", {Value::Int(2)}); });
+  h.FixpointAndCompare();
+  EXPECT_EQ(h.last_code(), util::StatusCode::kOk);
+  EXPECT_EQ(*h.dut()->Count("a(2)"), 1u);
+}
+
+// TrustRuntime counterpart of DifferentialHarness: naive, full-rebuild and
+// delta-aware runtimes for one principal, driven in lockstep.
+class RuntimeDifferential {
+ public:
+  explicit RuntimeDifferential(const std::string& principal) {
+    for (int mode = 0; mode < 3; ++mode) {
+      trust::TrustRuntime::Options opts;
+      opts.principal = principal;
+      opts.rsa_bits = 512;
+      opts.workspace.naive_eval = mode == 0;
+      opts.workspace.delta_fixpoint = mode != 1;
+      auto rt = trust::TrustRuntime::Create(opts);
+      EXPECT_TRUE(rt.ok());
+      runtimes_.push_back(std::move(*rt));
+    }
+  }
+
+  /// Runs `op` on every runtime (ops that commit run their own fixpoint)
+  /// and checks that statuses and stores agree.
+  void Apply(const std::function<util::Status(trust::TrustRuntime*)>& op) {
+    std::vector<util::Status> st;
+    for (auto& rt : runtimes_) st.push_back(op(rt.get()));
+    for (size_t i = 1; i < runtimes_.size(); ++i) {
+      ASSERT_EQ(st[0].code(), st[i].code())
+          << st[0].ToString() << " vs " << st[i].ToString();
+      EXPECT_EQ(Snapshot(*runtimes_[0]->workspace()),
+                Snapshot(*runtimes_[i]->workspace()));
+    }
+  }
+
+  void FixpointAndCompare() {
+    Apply([](trust::TrustRuntime* rt) { return rt->Fixpoint(); });
+  }
+
+  trust::TrustRuntime* dut() { return runtimes_.back().get(); }
+
+ private:
+  std::vector<std::unique_ptr<trust::TrustRuntime>> runtimes_;
+};
+
+// Full-stack differential driven through says/UseScheme reconfiguration:
+// interleaved AddFact/RemoveFact/RemoveRule/UseScheme.
+TEST(DeltaFixpointTest, DifferentialTrustRuntimeUseScheme) {
+  RuntimeDifferential h("alice");
 
   trust::TrustRuntime::Options bob_opts;
   bob_opts.principal = "bob";
@@ -542,39 +658,128 @@ TEST(DeltaFixpointTest, DifferentialTrustRuntimeUseScheme) {
   auto bob = trust::TrustRuntime::Create(bob_opts);
   ASSERT_TRUE(bob.ok());
 
-  both([&](trust::TrustRuntime* rt) {
+  h.Apply([&](trust::TrustRuntime* rt) {
     return rt->AddPeer("bob", (*bob)->keypair().public_key);
   });
-  both([&](trust::TrustRuntime* rt) {
+  h.Apply([&](trust::TrustRuntime* rt) {
     return rt->AddSharedSecret("bob", "secret:alice:bob");
   });
-  compare();
+  h.FixpointAndCompare();
 
-  both([](trust::TrustRuntime* rt) {
+  h.Apply([](trust::TrustRuntime* rt) {
     return rt->UseScheme(*trust::MakeScheme("rsa")).status();
   });
-  compare();
-  both([](trust::TrustRuntime* rt) {
+  h.FixpointAndCompare();
+  h.Apply([](trust::TrustRuntime* rt) {
     return rt->Say("alice", "flag(up).");
   });
-  compare();
+  h.FixpointAndCompare();
   // Scheme swap: the paper's RSA -> HMAC reconfiguration (rule removal +
   // install), interleaved with fact churn.
-  both([](trust::TrustRuntime* rt) {
+  h.Apply([](trust::TrustRuntime* rt) {
     return rt->UseScheme(*trust::MakeScheme("hmac")).status();
   });
-  both([](trust::TrustRuntime* rt) {
+  h.Apply([](trust::TrustRuntime* rt) {
     return rt->workspace()->AddFact("blob", {Value::Int(1)});
   });
-  compare();
-  both([](trust::TrustRuntime* rt) {
+  h.FixpointAndCompare();
+  h.Apply([](trust::TrustRuntime* rt) {
     return rt->workspace()->RemoveFact("blob", {Value::Int(1)});
   });
-  compare();
-  both([](trust::TrustRuntime* rt) {
+  h.FixpointAndCompare();
+  h.Apply([](trust::TrustRuntime* rt) {
     return rt->UseScheme(*trust::MakeScheme("plaintext")).status();
   });
-  compare();
+  h.FixpointAndCompare();
+}
+
+// The cold-authorization shape: linked credential chains are re-imported
+// after renewal (same payloads, a new validity bound, so new content
+// hashes), which commits says rows the receiver already holds. A says'd
+// policy rule activates a rule that derives further `active` rows. Every
+// import must leave the three stores byte-identical.
+TEST(DeltaFixpointTest, DifferentialRenewedCredentialChains) {
+  auto issuer = [](const std::string& name) {
+    trust::TrustRuntime::Options opts;
+    opts.principal = name;
+    opts.rsa_bits = 512;
+    auto rt = trust::TrustRuntime::Create(opts);
+    EXPECT_TRUE(rt.ok());
+    return std::move(*rt);
+  };
+  auto ca = issuer("ca");
+  auto org = issuer("org");
+  ASSERT_TRUE(org->AddPeer("ca", ca->keypair().public_key).ok());
+
+  RuntimeDifferential h("svc");
+  h.Apply([&](trust::TrustRuntime* rt) {
+    return rt->AddPeer("ca", ca->keypair().public_key);
+  });
+  h.Apply([&](trust::TrustRuntime* rt) {
+    return rt->AddPeer("org", org->keypair().public_key);
+  });
+  h.Apply([](trust::TrustRuntime* rt) {
+    return rt->Load(
+        "root(ca).\n"
+        "reach(C, Y) <- root(X), deleg(X, Y, C).\n"
+        "reach(C, Z) <- reach(C, Y), deleg(Y, Z, C).\n"
+        "access(U, O) <- grant(D, U, O, C), reach(C, D).\n");
+  });
+  h.FixpointAndCompare();
+
+  int64_t not_after = 4102444800;  // 2100-01-01
+  // ca delegates to org under c<i>; org grants u<i> obj<i>, linking it.
+  auto chain = [&](int i) -> std::string {
+    ++not_after;
+    auto h1 = ca->Issue(util::StrCat("deleg(ca, org, c", i, ")."), {}, 0,
+                        not_after);
+    EXPECT_TRUE(h1.ok());
+    auto root_bundle = ca->ExportCredential(*h1);
+    EXPECT_TRUE(root_bundle.ok());
+    EXPECT_TRUE(org->ImportCredentials(*root_bundle).ok());
+    auto h2 = org->Issue(
+        util::StrCat("grant(org, u", i, ", obj", i, ", c", i, ")."), {*h1},
+        0, not_after);
+    EXPECT_TRUE(h2.ok());
+    auto bundle = org->ExportCredential(*h2);
+    EXPECT_TRUE(bundle.ok());
+    return *bundle;
+  };
+  auto policy = [&]() -> std::string {
+    ++not_after;
+    auto hash = ca->Issue(
+        "active([| vouched(U) <- grant(_, U, _, _). |]) <- "
+        "deleg(ca, org, _).",
+        {}, 0, not_after);
+    EXPECT_TRUE(hash.ok());
+    auto bundle = ca->ExportCredential(*hash);
+    EXPECT_TRUE(bundle.ok());
+    return *bundle;
+  };
+  auto import = [&](const std::string& bundle) {
+    h.Apply([&](trust::TrustRuntime* rt) {
+      return rt->ImportCredentials(bundle).status();
+    });
+  };
+
+  import(chain(0));
+  import(chain(1));
+  import(policy());
+  EXPECT_EQ(*h.dut()->workspace()->Count("access(u0, obj0)"), 1u);
+  EXPECT_EQ(*h.dut()->workspace()->Count("vouched(u1)"), 1u);
+  // Renewals commit nothing new: the DUT stays on the delta path.
+  for (int round = 0; round < 2; ++round) {
+    import(chain(0));
+    EXPECT_TRUE(h.dut()->workspace()->last_fixpoint_incremental());
+    import(policy());
+    import(chain(1));
+    EXPECT_TRUE(h.dut()->workspace()->last_fixpoint_incremental());
+  }
+  // A fresh chain between renewals reaches the activated rule.
+  import(chain(2));
+  EXPECT_EQ(*h.dut()->workspace()->Count("vouched(u2)"), 1u);
+  import(chain(2));
+  h.FixpointAndCompare();
 }
 
 }  // namespace

@@ -148,6 +148,40 @@ TEST(ObsWorkspaceTest, TracerEmitsNestedFixpointSpans) {
   EXPECT_TRUE(Contains(json, "\"derived\":")) << json;
 }
 
+// The fixpoint span shows how much epilogue work a commit paid for: a
+// commit of k new says rows scans exactly their k `active` rows and checks
+// constraints; re-committing a held says row scans and checks nothing.
+TEST(ObsTrustTest, FixpointSpanReportsDeltaProportionalEpilogue) {
+  trust::TrustRuntime::Options opts;
+  opts.principal = "alice";
+  opts.rsa_bits = 512;
+  auto rt = trust::TrustRuntime::Create(opts);
+  ASSERT_TRUE(rt.ok());
+  ASSERT_TRUE((*rt)->Fixpoint().ok());
+  obs::Tracer tracer;
+  (*rt)->workspace()->SetTracer(&tracer);
+
+  datalog::Transaction fresh = (*rt)->Begin();
+  fresh.Say("alice", "held(1).").Say("alice", "held(2).").Say("alice",
+                                                              "held(3).");
+  ASSERT_TRUE(fresh.Commit().ok());
+  std::string json = tracer.DrainJson();
+  EXPECT_TRUE(Contains(json,
+                       "\"path\":\"delta\",\"codegen_rounds\":2,"
+                       "\"active_scanned\":3,\"constraints_checked\":true"))
+      << json;
+
+  datalog::Transaction dup = (*rt)->Begin();
+  dup.Say("alice", "held(2).");
+  ASSERT_TRUE(dup.Commit().ok());
+  json = tracer.DrainJson();
+  EXPECT_TRUE(Contains(json,
+                       "\"path\":\"delta\",\"codegen_rounds\":1,"
+                       "\"active_scanned\":0,\"constraints_checked\":false"))
+      << json;
+  (*rt)->workspace()->SetTracer(nullptr);
+}
+
 TEST(ObsTrustTest, RuntimeDumpCoversCredentialAndCryptoCounters) {
   trust::TrustRuntime::Options opts;
   opts.principal = "alice";
