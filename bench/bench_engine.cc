@@ -87,46 +87,6 @@ BENCHMARK(BM_TransitiveClosureWide)
     ->Args({24, 2})
     ->Args({24, 4});
 
-// Merge-phase scaling: (threads, shards) on the wide closure — the
-// merge-heavy shape (few rounds, huge deduplicating inserts) where the
-// round merge dominates. shards=1 forces the classic sequential merge at
-// any thread count; shards>1 splits the replay across the pool, so the
-// {4,1} vs {4,4} gap is exactly the parallel-merge win (and the {1,1} vs
-// {1,4} gap its single-thread routing overhead).
-void BM_ParallelMergeScaling(benchmark::State& state) {
-  unsigned threads = static_cast<unsigned>(state.range(0));
-  size_t shards = static_cast<size_t>(state.range(1));
-  constexpr int kWidth = 24;
-  constexpr int kLayers = 6;
-  for (auto _ : state) {
-    Workspace::Options opts;
-    opts.threads = threads;
-    opts.shards = shards;
-    Workspace ws(opts);
-    (void)ws.Load("path(X,Y) <- edge(X,Y).\n"
-                  "path(X,Z) <- path(X,Y), edge(Y,Z).");
-    for (int layer = 0; layer + 1 < kLayers; ++layer) {
-      for (int a = 0; a < kWidth; ++a) {
-        for (int b = 0; b < kWidth; ++b) {
-          (void)ws.AddFact("edge", {Value::Int(layer * 1000 + a),
-                                    Value::Int((layer + 1) * 1000 + b)});
-        }
-      }
-    }
-    auto st = ws.Fixpoint();
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    benchmark::DoNotOptimize(ws.GetRelation("path"));
-  }
-  state.SetItemsProcessed(state.iterations() * kWidth * kWidth * kLayers);
-}
-BENCHMARK(BM_ParallelMergeScaling)
-    ->Args({1, 1})
-    ->Args({1, 4})
-    ->Args({2, 2})
-    ->Args({4, 1})
-    ->Args({4, 4})
-    ->Args({4, 8});
-
 void BM_TransitiveClosureNaive(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   for (auto _ : state) {

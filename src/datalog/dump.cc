@@ -28,7 +28,7 @@ std::string DumpRelation(const Workspace& workspace, const std::string& name,
   if (rel == nullptr) return util::StrCat(name, ": <no relation>\n");
   std::vector<std::string> lines;
   lines.reserve(rel->size());
-  for (uint32_t i : rel->Rows()) {
+  for (size_t i = 0; i < rel->size(); ++i) {
     lines.push_back(TupleToString(rel->RowTuple(i)));
   }
   std::sort(lines.begin(), lines.end());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <memory>
@@ -147,23 +146,7 @@ Evaluator::Evaluator(const BuiltinRegistry* builtins, RelationStore* store,
     tuples_derived_ = metrics_->GetCounter("lbtrust_tuples_derived_total");
     rounds_total_ = metrics_->GetCounter("lbtrust_eval_rounds_total");
     delta_rows_ = metrics_->GetHistogram("lbtrust_fixpoint_delta_rows");
-    merge_parallel_ = metrics_->GetCounter("lbtrust_merge_parallel_total");
-    merge_sequential_ = metrics_->GetCounter("lbtrust_merge_sequential_total");
-    merge_latency_ =
-        metrics_->GetHistogram("lbtrust_merge_latency_microseconds");
   }
-}
-
-obs::Counter* Evaluator::MergeShardCounter(size_t shard) {
-  if (merge_shard_rows_.size() <= shard) {
-    merge_shard_rows_.resize(shard + 1, nullptr);
-  }
-  if (merge_shard_rows_[shard] == nullptr) {
-    merge_shard_rows_[shard] = metrics_->GetCounter(
-        "lbtrust_merge_shard_rows_total",
-        "shard=\"" + std::to_string(shard) + "\"");
-  }
-  return merge_shard_rows_[shard];
 }
 
 Evaluator::~Evaluator() = default;
@@ -179,7 +162,7 @@ uint64_t RelationStore::NextGeneration() {
 Relation* RelationStore::GetOrCreate(const std::string& name, size_t arity) {
   auto it = rels_.find(name);
   if (it == rels_.end()) {
-    it = rels_.emplace(name, Relation(arity, pool_, default_shards_)).first;
+    it = rels_.emplace(name, Relation(arity, pool_)).first;
   }
   return &it->second;
 }
@@ -483,7 +466,7 @@ CompiledRule::OrderProbes ComputeOrderProbes(const CompiledRule& cr,
           arity >= 64 ? ~uint64_t{0} : (uint64_t{1} << arity) - 1;
       if (oi == 0 && lit.kind == CompiledLiteral::Kind::kRelation) {
         // Leading relation literal: chunks enumerate its row range
-        // directly (filtering constants with RowMatchesKey), no index.
+        // directly (filtering constants with id compares), no index.
         out.partition_first = true;
       } else if (lit.kind == CompiledLiteral::Kind::kRelation) {
         // mask == 0 scans; mask == full short-circuits to ContainsIds.
@@ -878,42 +861,30 @@ Status Evaluator::EvalRelation(ExecContext* ctx, size_t oi,
     // row ranges. Constants filter with direct id compares instead of an
     // index, so the frozen relation needs no index for position 0 (and
     // delta relations never get one).
-    // The chunk's [first_begin, first_end) is a range of shard-major
-    // *positions* (shard 0's rows, then shard 1's, ...). The relation is
-    // frozen for the whole chunked phase, so positions are stable here.
+    // The relation is frozen for the whole chunked phase, so its storage
+    // cannot reallocate: hoist the row buffer and walk it directly.
     const size_t limit = std::min(ctx->first_end, rel->size());
+    const ValueId* data = rel->RowIds(0);
     ValueId row[64];
     uint64_t matched = 0;
-    size_t base = 0;
-    const size_t nshards = rel->shard_count();
-    for (size_t s = 0; s < nshards && base < limit; ++s) {
-      const size_t ns = rel->ShardSize(s);
-      const size_t lo = ctx->first_begin > base ? ctx->first_begin - base : 0;
-      const size_t hi = std::min(limit - base, ns);
-      // The relation is frozen, so the shard's storage cannot reallocate:
-      // hoist its base pointer and walk local offsets directly instead of
-      // paying a row-id encode/decode round trip per row.
-      const ValueId* sdata = rel->ShardData(s);
-      for (size_t l = lo; l < hi; ++l) {
-        const ValueId* src = sdata + l * arity;
-        if (mask != 0) {
-          size_t k = 0;
-          bool match = true;
-          for (size_t i = 0; i < arity; ++i) {
-            if (mask & (uint64_t{1} << i)) {
-              if (src[i] != key[k++]) {
-                match = false;
-                break;
-              }
+    for (size_t i = ctx->first_begin; i < limit; ++i) {
+      const ValueId* src = data + i * arity;
+      if (mask != 0) {
+        size_t k = 0;
+        bool match = true;
+        for (size_t c = 0; c < arity; ++c) {
+          if (mask & (uint64_t{1} << c)) {
+            if (src[c] != key[k++]) {
+              match = false;
+              break;
             }
           }
-          if (!match) continue;
         }
-        ++matched;
-        if (arity > 0) std::memcpy(row, src, arity * sizeof(ValueId));
-        LB_RETURN_IF_ERROR(try_row(row));
+        if (!match) continue;
       }
-      base += ns;
+      ++matched;
+      if (arity > 0) std::memcpy(row, src, arity * sizeof(ValueId));
+      LB_RETURN_IF_ERROR(try_row(row));
     }
     if (ctx->probe_tally != nullptr) {
       ctx->probe_tally[body_idx] += 1;
@@ -948,30 +919,18 @@ Status Evaluator::EvalRelation(ExecContext* ctx, size_t oi,
       LB_RETURN_IF_ERROR(try_row(row));
     }
   } else {
-    // Snapshot every shard's size up front: rows appended during recursion
-    // (self-recursive rules may insert into ANY shard, including ones this
-    // scan already passed) are handled by later semi-naive rounds, exactly
-    // like the pre-sharding `n = rel->size()` snapshot.
-    size_t snap[Relation::kMaxShards];
-    const size_t nshards = rel->shard_count();
-    size_t n = 0;
-    for (size_t s = 0; s < nshards; ++s) {
-      snap[s] = rel->ShardSize(s);
-      n += snap[s];
-    }
+    // Snapshot the size up front: rows appended during recursion (self-
+    // recursive rules insert into the relation being scanned) are handled
+    // by later semi-naive rounds.
+    const size_t n = rel->size();
     if (ctx->probe_tally != nullptr) {
       ctx->probe_tally[body_idx] += 1;
       ctx->hit_tally[body_idx] += n;
     }
     ValueId row[64];
-    for (size_t s = 0; s < nshards; ++s) {
-      for (size_t l = 0; l < snap[s]; ++l) {
-        if (arity > 0) {
-          std::memcpy(row, rel->RowIds(rel->MakeRowId(s, l)),
-                      arity * sizeof(ValueId));
-        }
-        LB_RETURN_IF_ERROR(try_row(row));
-      }
+    for (size_t i = 0; i < n; ++i) {
+      if (arity > 0) std::memcpy(row, rel->RowIds(i), arity * sizeof(ValueId));
+      LB_RETURN_IF_ERROR(try_row(row));
     }
   }
   return util::OkStatus();
@@ -1019,7 +978,7 @@ Status Evaluator::EvalNegation(ExecContext* ctx, size_t oi,
       rel->LookupIds(mask, key, &ids);
     } else {
       ids.reserve(rel->size());
-      for (uint32_t id : rel->Rows()) ids.push_back(id);
+      for (uint32_t id = 0; id < rel->size(); ++id) ids.push_back(id);
     }
     for (uint32_t id : ids) {
       const ValueId* row = rel->RowIds(id);
@@ -1371,15 +1330,7 @@ Status Evaluator::RunRuleInto(CompiledRule* rule, int pos,
       provenance_->Record(rule->head_pred, MaterializeTuple(*pool_, row, arity),
                           std::move(d));
     }
-    // One hash serves the dedup insert AND the delta appends. The deltas
-    // themselves stay single-shard: rows derived here are appended by
-    // this thread only, so sharding them buys nothing and costs N
-    // vector-growth chains per round — only the parallel merge, whose
-    // workers need disjoint shard ownership, pre-creates sharded deltas
-    // (see RunRound; its topology check falls back to sequential replay
-    // if it meets a delta created here).
-    const uint64_t h = full->RowHash(row);
-    if (full->InsertIdsHashed(row, h)) {
+    if (full->InsertIds(row)) {
       ++*total_tuples;
       if (*total_tuples > limits.max_tuples) {
         return util::Internal(
@@ -1389,13 +1340,13 @@ Status Evaluator::RunRuleInto(CompiledRule* rule, int pos,
         dnext = &next_delta->try_emplace(rule->head_pred, arity, pool_)
                      .first->second;
       }
-      dnext->AppendUncheckedHashed(row, h);
+      dnext->AppendUnchecked(row);
       if (stratum_new != nullptr) {
         if (snext == nullptr) {
           snext = &stratum_new->try_emplace(rule->head_pred, arity, pool_)
                        .first->second;
         }
-        snext->AppendUncheckedHashed(row, h);
+        snext->AppendUnchecked(row);
       }
     }
     return util::OkStatus();
@@ -1560,11 +1511,6 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
     Relation* first_rel = nullptr;  ///< partitionable leading relation
     size_t chunk_begin = 0;
     size_t chunk_end = 0;
-    /// Pre-created delta outputs for the parallel merge (map mutation is
-    /// not thread-safe, so lazily creating them from workers is not an
-    /// option; entries that end the round empty are swept afterwards).
-    Relation* dnext = nullptr;
-    Relation* snext = nullptr;
   };
   std::vector<TaskPlan> plans(tasks.size());
   std::vector<Relation*> frozen;
@@ -1691,18 +1637,10 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
   }
   for (Relation* rel : frozen) rel->Thaw();
 
-  // --- Merge: deterministic (task, chunk, row) replay. Consecutive
-  // parallel-safe tasks form a *segment*; non-safe tasks evaluate inline
-  // between segments, preserving the sequential in-round visibility
-  // order. A segment whose relations are sharded merges in parallel —
-  // every worker owns a disjoint set of shards and replays, in the same
-  // (task, chunk, row) order, exactly the buffered rows whose hash routes
-  // to its shards, so the per-shard insertion order (and therefore the
-  // stored bytes) is identical to the sequential replay. Unsharded
-  // segments run the classic single-thread replay.
-  // Replays one safe task's buffers on the current thread (shards == 1
-  // path; also the mixed-topology fallback).
-  auto merge_task_sequential = [&](size_t ti) -> Status {
+  // --- Merge (sequential): deterministic (task, chunk, row) replay. Non-
+  // safe tasks evaluate inline at their task position, preserving the
+  // sequential in-round visibility order.
+  auto merge_task = [&](size_t ti) -> Status {
     const RoundTask& t = tasks[ti];
     const TaskPlan& plan = plans[ti];
     Relation* full = plan.head;
@@ -1728,33 +1666,27 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
       }
       for (size_t r = 0; r < buf.hashes.size(); ++r) {
         const ValueId* row = buf.rows.data() + r * arity;
-        const uint64_t h = buf.hashes[r];
-        if (!full->InsertIdsHashed(row, h)) continue;
+        if (!full->InsertIdsHashed(row, buf.hashes[r])) continue;
         ++*total_tuples;
         ++task_derived;
         if (*total_tuples > limits.max_tuples) {
           return util::Internal(
               "fixpoint exceeded tuple budget (diverging program?)");
         }
+        // try_emplace forwards the ctor args, so no temporary Relation is
+        // built when the entry already exists.
         if (dnext == nullptr) {
-          // Classic single-shard delta: this replay is sequential, so the
-          // rows will never be appended by disjoint shard owners, and a
-          // tiny delta split N ways costs N vector-growth chains per
-          // round. try_emplace forwards the ctor args, so no temporary
-          // Relation is built when the entry already exists. (If a later,
-          // larger segment of the same head goes parallel this round, its
-          // topology check sees the single-shard delta and falls back.)
           dnext = &next_delta->try_emplace(t.rule->head_pred, arity, pool_)
                        .first->second;
         }
-        dnext->AppendUncheckedHashed(row, h);
+        dnext->AppendUnchecked(row);
         if (stratum_new != nullptr) {
           if (snext == nullptr) {
             snext =
                 &stratum_new->try_emplace(t.rule->head_pred, arity, pool_)
                      .first->second;
           }
-          snext->AppendUncheckedHashed(row, h);
+          snext->AppendUnchecked(row);
         }
       }
     }
@@ -1771,231 +1703,13 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
     return util::OkStatus();
   };
 
-  // Merges safe tasks [lo, hi) with every worker replaying its own shards.
-  auto merge_segment_parallel = [&](size_t lo, size_t hi,
-                                    size_t nshards) -> Status {
-    const auto merge_start = std::chrono::steady_clock::now();
-    // Surface chunk failures in the order the sequential replay would
-    // have hit them, before any of the segment lands in the store.
-    for (size_t ti = lo; ti < hi; ++ti) {
-      for (size_t ci = plans[ti].chunk_begin; ci < plans[ti].chunk_end; ++ci) {
-        LB_RETURN_IF_ERROR(chunk_status[ci]);
-      }
-    }
-    // Pre-create every task's delta outputs (std::map nodes are stable, so
-    // later try_emplace calls in this round cannot move them).
-    for (size_t ti = lo; ti < hi; ++ti) {
-      TaskPlan& plan = plans[ti];
-      const size_t arity = tasks[ti].rule->head_cols.size();
-      plan.dnext = &next_delta
-                        ->try_emplace(tasks[ti].rule->head_pred, arity,
-                                      pool_, store_->default_shards())
-                        .first->second;
-      if (stratum_new != nullptr) {
-        plan.snext = &stratum_new
-                          ->try_emplace(tasks[ti].rule->head_pred, arity,
-                                        pool_, store_->default_shards())
-                          .first->second;
-      }
-      // A delta that predates this store's shard configuration would let
-      // two workers route into the same shard — fall back to the
-      // single-thread replay for the whole segment.
-      if (plan.dnext->shard_count() != nshards ||
-          (plan.snext != nullptr && plan.snext->shard_count() != nshards)) {
-        if (metrics_ != nullptr) merge_sequential_->Add(1);
-        for (size_t si = lo; si < hi; ++si) {
-          LB_RETURN_IF_ERROR(merge_task_sequential(si));
-        }
-        return util::OkStatus();
-      }
-    }
-
-    const size_t ntasks = hi - lo;
-    // Per-(task, shard) derived counts and per-shard replay totals. Each
-    // worker writes only its own shards' entries; the caller sums them
-    // after the barrier, so the merge itself shares no counters.
-    std::vector<uint64_t> derived(ntasks * nshards, 0);
-    std::vector<uint64_t> shard_rows(nshards, 0);
-    auto merge_shard = [&](size_t s) {
-      uint64_t replayed = 0;
-      for (size_t ti = lo; ti < hi; ++ti) {
-        const TaskPlan& plan = plans[ti];
-        Relation* full = plan.head;
-        const size_t arity = tasks[ti].rule->head_cols.size();
-        uint64_t task_derived = 0;
-        for (size_t ci = plan.chunk_begin; ci < plan.chunk_end; ++ci) {
-          const EmitBuffer& buf = emit_bufs_[ci];
-          // Every worker scans the whole buffer and keeps only the rows
-          // hashing into its shard: one AND-and-compare per row is cheaper
-          // than materializing per-shard index lists during chunk
-          // evaluation (which taxes rounds that end up replaying inline).
-          for (size_t r = 0; r < buf.hashes.size(); ++r) {
-            const uint64_t h = buf.hashes[r];
-            if (full->ShardOfHash(h) != s) continue;
-            const ValueId* row = buf.rows.data() + r * arity;
-            ++replayed;
-            if (!full->InsertIdsHashed(row, h)) continue;
-            ++task_derived;
-            plan.dnext->AppendUncheckedHashed(row, h);
-            if (plan.snext != nullptr) {
-              plan.snext->AppendUncheckedHashed(row, h);
-            }
-          }
-        }
-        derived[(ti - lo) * nshards + s] = task_derived;
-      }
-      shard_rows[s] = replayed;
-    };
-    EvalWorkerPoolHandle& pool = *workers_slot_;
-    // Never fan the merge out wider than the physical cores: extra
-    // workers would only time-slice the same CPUs while the caller
-    // yields, and on a single-core host the whole segment replays inline
-    // (still shard-by-shard, so counters and output are unchanged).
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned merge_workers = static_cast<unsigned>(
-        std::min<size_t>({threads_ - 1, nshards - 1, hw - 1}));
-    if (merge_workers > 0) {
-      if (pool == nullptr) {
-        pool = EvalWorkerPoolHandle(new EvalWorkerPool(merge_workers));
-      } else {
-        pool->EnsureWorkers(merge_workers);
-      }
-      pool->Run(nshards, merge_shard);
+  for (size_t ti = 0; ti < tasks.size(); ++ti) {
+    if (plans[ti].safe) {
+      LB_RETURN_IF_ERROR(merge_task(ti));
     } else {
-      // Inline replay is one pass in (task, chunk, row) order, routing
-      // each row as it goes: per-shard filtered scans would walk every
-      // buffer nshards times on a single thread. Within any one shard
-      // both schemes insert in the same first-occurrence order, so the
-      // output and every counter are unchanged.
-      for (size_t ti = lo; ti < hi; ++ti) {
-        const TaskPlan& plan = plans[ti];
-        Relation* full = plan.head;
-        const size_t arity = tasks[ti].rule->head_cols.size();
-        uint64_t* task_derived = &derived[(ti - lo) * nshards];
-        for (size_t ci = plan.chunk_begin; ci < plan.chunk_end; ++ci) {
-          const EmitBuffer& buf = emit_bufs_[ci];
-          for (size_t r = 0; r < buf.hashes.size(); ++r) {
-            const uint64_t h = buf.hashes[r];
-            const size_t s = full->ShardOfHash(h);
-            ++shard_rows[s];
-            const ValueId* row = buf.rows.data() + r * arity;
-            if (!full->InsertIdsHashed(row, h)) continue;
-            ++task_derived[s];
-            plan.dnext->AppendUncheckedHashed(row, h);
-            if (plan.snext != nullptr) {
-              plan.snext->AppendUncheckedHashed(row, h);
-            }
-          }
-        }
-      }
-    }
-
-    // Post-barrier accounting, in task order: budget totals (same
-    // cumulative sums as the sequential replay, so the accept/reject
-    // decision is identical — only granularity differs), metric folds and
-    // spans.
-    for (size_t ti = lo; ti < hi; ++ti) {
-      const RoundTask& t = tasks[ti];
-      obs::ScopedSpan span(tracer_, "rule");
-      uint64_t task_derived = 0;
-      for (size_t s = 0; s < nshards; ++s) {
-        task_derived += derived[(ti - lo) * nshards + s];
-      }
-      *total_tuples += task_derived;
-      if (*total_tuples > limits.max_tuples) {
-        return util::Internal(
-            "fixpoint exceeded tuple budget (diverging program?)");
-      }
-      if (metrics_ != nullptr) {
-        tally_probes_.assign(t.rule->body.size(), 0);
-        tally_hits_.assign(t.rule->body.size(), 0);
-        uint64_t task_eval_us = 0;
-        for (size_t ci = plans[ti].chunk_begin; ci < plans[ti].chunk_end;
-             ++ci) {
-          const EmitBuffer& buf = emit_bufs_[ci];
-          task_eval_us += buf.eval_us;
-          for (size_t bi = 0; bi < buf.probes.size(); ++bi) {
-            tally_probes_[bi] += buf.probes[bi];
-            tally_hits_[bi] += buf.hits[bi];
-          }
-        }
-        FoldRuleMetrics(t.rule, task_derived, tally_probes_.data(),
-                        tally_hits_.data(), task_eval_us);
-      }
-      if (span.enabled()) {
-        span.set_args(util::StrCat(
-            "\"head\":\"", obs::LabelEscape(t.rule->head_pred),
-            "\",\"rule\":", t.rule->id, ",\"delta_pos\":", t.pos,
-            ",\"derived\":", task_derived));
-      }
-    }
-    if (metrics_ != nullptr) {
-      merge_parallel_->Add(1);
-      for (size_t s = 0; s < nshards; ++s) {
-        if (shard_rows[s] > 0) MergeShardCounter(s)->Add(shard_rows[s]);
-      }
-      merge_latency_->Observe(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - merge_start)
-              .count()));
-    }
-    return util::OkStatus();
-  };
-  bool any_parallel = false;
-
-  Status merge_status = util::OkStatus();
-  for (size_t ti = 0; ti < tasks.size() && merge_status.ok();) {
-    if (!plans[ti].safe) {
-      merge_status = RunRuleInto(tasks[ti].rule, tasks[ti].pos,
-                                 tasks[ti].delta_rel, limits, total_tuples,
-                                 next_delta, stratum_new);
-      ++ti;
-      continue;
-    }
-    size_t seg_end = ti;
-    while (seg_end < tasks.size() && plans[seg_end].safe) ++seg_end;
-    // Shard topology gate: every head in the segment must share one shard
-    // count > 1, or the segment replays on this thread. Dispatching the
-    // pool also costs a wake/claim round trip per segment, so segments
-    // with few buffered rows (the chain-closure shape: many rounds of
-    // tiny deltas) replay inline — the row count is a pure function of
-    // the buffers, so the cutoff cannot change the output.
-    constexpr size_t kParallelMergeMinRows = 256;
-    size_t nshards = plans[ti].head->shard_count();
-    size_t seg_rows = 0;
-    for (size_t si = ti; si < seg_end; ++si) {
-      if (plans[si].head->shard_count() != nshards) nshards = 1;
-      for (size_t ci = plans[si].chunk_begin; ci < plans[si].chunk_end; ++ci) {
-        seg_rows += emit_bufs_[ci].hashes.size();
-      }
-    }
-    if (nshards > 1 && seg_rows >= kParallelMergeMinRows) {
-      any_parallel = true;
-      merge_status = merge_segment_parallel(ti, seg_end, nshards);
-    } else {
-      if (metrics_ != nullptr) merge_sequential_->Add(1);
-      for (size_t si = ti; si < seg_end && merge_status.ok(); ++si) {
-        merge_status = merge_task_sequential(si);
-      }
-    }
-    ti = seg_end;
-  }
-  LB_RETURN_IF_ERROR(merge_status);
-
-  // Sweep delta entries that ended the round empty: only the parallel
-  // merge pre-creates entries before knowing whether a task derives
-  // anything (the sequential paths create deltas on first insert), so
-  // rounds that replayed entirely inline skip the map walk. An empty
-  // entry would cost the caller an extra no-op round (and skew round
-  // metrics versus the sequential engine).
-  if (any_parallel) {
-    for (auto it = next_delta->begin(); it != next_delta->end();) {
-      it = it->second.empty() ? next_delta->erase(it) : std::next(it);
-    }
-    if (stratum_new != nullptr) {
-      for (auto it = stratum_new->begin(); it != stratum_new->end();) {
-        it = it->second.empty() ? stratum_new->erase(it) : std::next(it);
-      }
+      LB_RETURN_IF_ERROR(RunRuleInto(tasks[ti].rule, tasks[ti].pos,
+                                     tasks[ti].delta_rel, limits,
+                                     total_tuples, next_delta, stratum_new));
     }
   }
   return util::OkStatus();
@@ -2184,8 +1898,8 @@ Status Evaluator::RunIncremental(const std::vector<CompiledRule*>& rules,
     for (auto& [pred, rel] : stratum_new) {
       auto [it, fresh] = accumulated.try_emplace(pred, rel.arity(), pool_);
       (void)fresh;
-      for (uint32_t id : rel.Rows()) {
-        it->second.AppendUnchecked(rel.RowIds(id));
+      for (size_t i = 0; i < rel.size(); ++i) {
+        it->second.AppendUnchecked(rel.RowIds(i));
       }
     }
   }

@@ -34,13 +34,6 @@ class RelationStore {
         generation_(NextGeneration()) {}
 
   Relation* GetOrCreate(const std::string& name, size_t arity);
-
-  /// Shard count for relations this store creates from now on (existing
-  /// relations keep their layout). The evaluator creates its delta
-  /// relations with the same count, so hash-routed parallel merges see a
-  /// consistent shard topology across every relation they touch.
-  void set_default_shards(size_t shards) { default_shards_ = shards; }
-  size_t default_shards() const { return default_shards_; }
   Relation* Get(const std::string& name);
   const Relation* Get(const std::string& name) const;
   std::unordered_map<std::string, Relation>& relations() { return rels_; }
@@ -63,7 +56,6 @@ class RelationStore {
 
   ValuePool* pool_;
   uint64_t generation_;
-  size_t default_shards_ = 1;
   std::unordered_map<std::string, Relation> rels_;
 };
 
@@ -189,19 +181,14 @@ using EvalWorkerPoolHandle =
 /// then replays the buffers in deterministic (task, chunk, row) order:
 /// deduplicating full-store inserts, delta construction and the tuple
 /// budget exactly as the sequential path, while non-safe rules (builtins,
-/// patterns, aggregates) evaluate inline at their task position. When the
-/// store is sharded (shards > 1) the merge itself is parallel: each
-/// worker owns a disjoint set of shards and replays only the buffered
-/// rows whose hash routes to its shards, so dedup insert, delta appends
-/// and per-task derived counts all happen shard-locally with no
-/// synchronization beyond the end-of-merge barrier (budget totals are
-/// summed there, preserving the sequential accept/reject decision). The
-/// fixpoint SET is identical to sequential evaluation
+/// patterns, aggregates) evaluate inline at their task position. The
+/// merge is the only phase that writes the store, and it runs on the
+/// calling thread. The fixpoint SET is identical to sequential evaluation
 /// (rounds are confluent; a consequence skipped under the frozen view is
-/// derived from the next round's delta), so Workspace::Dump — which
-/// sorts rows — is byte-identical across thread counts. threads == 1
-/// runs today's exact sequential code path; provenance tracking and the
-/// naive ablation force it.
+/// derived from the next round's delta), so Workspace::Dump — which sorts
+/// rows — is byte-identical across thread counts. threads == 1 runs the
+/// classic sequential code path; provenance tracking and the naive
+/// ablation force it.
 class Evaluator {
  public:
   struct Limits {
@@ -401,16 +388,6 @@ class Evaluator {
   obs::Counter* tuples_derived_ = nullptr;
   obs::Counter* rounds_total_ = nullptr;
   obs::Histogram* delta_rows_ = nullptr;
-  /// Merge-path instrumentation: parallel vs sequential merge counts, the
-  /// per-parallel-segment merge latency distribution (sequential inline
-  /// replays skip the clock entirely), and per-shard replayed-row counters
-  /// (`lbtrust_merge_shard_rows_total{shard=...}`, resolved lazily per
-  /// shard index) so shard skew shows up in every metrics dump.
-  obs::Counter* merge_parallel_ = nullptr;
-  obs::Counter* merge_sequential_ = nullptr;
-  obs::Histogram* merge_latency_ = nullptr;
-  std::vector<obs::Counter*> merge_shard_rows_;
-  obs::Counter* MergeShardCounter(size_t shard);
   std::unordered_map<const CompiledRule*, RuleCounters> rule_counters_;
   std::unordered_map<std::string, RelationCounters> relation_counters_;
   /// Sequential-path tally scratch (RunRuleInto), reused across calls.

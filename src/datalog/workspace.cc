@@ -21,22 +21,6 @@ unsigned ResolveThreads(unsigned configured) {
   return hw == 0 ? 1 : hw;
 }
 
-/// Options::shards == 0 means "derive from the resolved thread count":
-/// one shard per worker keeps the parallel merge's per-worker replay
-/// ranges aligned with the pool, with no skew-prone remainder shards.
-/// Derivation also clamps at the hardware thread count: the merge caps
-/// its workers at hardware_concurrency - 1, so shards beyond that are
-/// partitions no worker can ever own in parallel — pure locality tax on
-/// an oversubscribed host. An explicit shards value still forces any
-/// topology (the output is shard-count independent either way).
-size_t ResolveShards(size_t configured, unsigned threads) {
-  if (configured != 0) return std::min(configured, Relation::kMaxShards);
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  return std::min<size_t>(std::min(ResolveThreads(threads), hw),
-                          Relation::kMaxShards);
-}
-
 /// True when every head of the fact `rule`, with `me` read as `principal`,
 /// is already in `edb`, so activating it would change nothing. Reads the
 /// shared quoted rule in place: only head terms are resolved, one at a time.
@@ -68,13 +52,6 @@ bool FactHeldInEdb(const Rule& rule, const std::string& principal,
 
 Workspace::Workspace(Options options)
     : options_(std::move(options)), edb_(&pool_), store_(&pool_) {
-  // Every relation the evaluator creates from here on shards its storage
-  // by row hash so round merges can run one worker per shard. The EDB-side
-  // relations the workspace itself creates stay single-partition (they are
-  // mutated row-at-a-time on the caller's thread, where one partition is
-  // the better layout).
-  store_.set_default_shards(
-      ResolveShards(options_.shards, options_.threads));
   if (options_.metrics) {
     metrics_ = std::make_unique<obs::MetricsRegistry>();
     fixpoints_full_ =
@@ -761,7 +738,7 @@ Status Workspace::PrepareStore() {
   store_.Clear();  // bumps the generation: cached Relation* self-invalidate
   for (const auto& [name, rel] : edb_.relations()) {
     Relation* dst = store_.GetOrCreate(name, rel.arity());
-    for (uint32_t i : rel.Rows()) {
+    for (size_t i = 0; i < rel.size(); ++i) {
       if (options_.track_provenance) {
         provenance_.Record(name, rel.RowTuple(i),
                            Derivation{});  // kBase; first wins
@@ -856,7 +833,7 @@ Result<int> Workspace::ScanAndInstallActive(const Relation* rows) {
   // Collect first, then install: installs grow the rule set and the EDB,
   // which the filters below read.
   std::vector<std::shared_ptr<const Rule>> pending;
-  for (uint32_t i : rows->Rows()) {
+  for (size_t i = 0; i < rows->size(); ++i) {
     Value v = rows->ValueAt(i, 0);
     if (v.kind() != ValueKind::kCode) continue;
     const CodeValue& code = v.AsCode();
@@ -971,7 +948,7 @@ Status Workspace::FixpointImpl() {
       ++delta_eval_rounds_;
       for (auto& [pred, rel] : edb_delta_) {
         Relation* dst = store_.GetOrCreate(pred, rel.arity());
-        for (uint32_t i : rel.Rows()) {
+        for (size_t i = 0; i < rel.size(); ++i) {
           if (dst->InsertIds(rel.RowIds(i))) {
             auto [it, fresh] =
                 changed.try_emplace(pred, Relation(rel.arity(), &pool_));

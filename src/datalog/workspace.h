@@ -203,16 +203,6 @@ class Workspace {
     /// byte-identical to sequential evaluation (see README "Parallel
     /// evaluation"). Provenance tracking and naive_eval force sequential.
     unsigned threads = 0;
-    /// Hash shards per derived relation (rounded up to a power of two,
-    /// capped at Relation::kMaxShards). 0 = derive from the resolved
-    /// thread count, additionally clamped at hardware_concurrency (shards
-    /// beyond the core count are partitions the merge can never replay in
-    /// parallel); 1 = today's single-partition layout. With shards > 1
-    /// the parallel round merge replays each shard on its own worker
-    /// instead of funneling through one thread (see README "Sharded
-    /// storage"); the stored row SET — and therefore Dump() — is
-    /// identical at every (threads, shards) combination.
-    size_t shards = 0;
     /// Codegen (active-rule installation) iterations per Fixpoint().
     int max_codegen_rounds = 64;
     /// Evaluator budgets (diverging-program guards).

@@ -61,7 +61,7 @@ std::vector<PlacedBatch> CollectPlacedBatches(datalog::Workspace* ws,
   const Relation* pred_node = ws->GetRelation("predNode");
   std::map<std::pair<std::string, std::string>, std::string> placement;
   if (pred_node != nullptr && pred_node->arity() == 2) {
-    for (uint32_t i : pred_node->Rows()) {
+    for (size_t i = 0; i < pred_node->size(); ++i) {
       Tuple t = pred_node->RowTuple(i);
       if (t[0].kind() != ValueKind::kPart ||
           t[1].kind() != ValueKind::kSymbol) {
@@ -82,7 +82,7 @@ std::vector<PlacedBatch> CollectPlacedBatches(datalog::Workspace* ws,
     if (!info.partitioned) continue;
     const Relation* rel = ws->GetRelation(pred_name);
     if (rel == nullptr || rel->arity() == 0) continue;
-    for (uint32_t ri : rel->Rows()) {
+    for (size_t ri = 0; ri < rel->size(); ++ri) {
       auto it = placement.find({pred_name, rel->ValueAt(ri, 0).ToString()});
       if (it == placement.end() || it->second == self) continue;
       // Dedup on the row's interned ids: stable for the workspace's
@@ -155,23 +155,16 @@ void Cluster::InjectTamper(const std::string& relation,
 
 Status Cluster::ShipFrom(const std::string& name, NodeState* state,
                          std::vector<Message>* outbox) {
-  const size_t nshards = options_.ship_shards > 1 ? options_.ship_shards : 1;
   for (PlacedBatch& batch : CollectPlacedBatches(
            state->runtime->workspace(), name, &state->sent)) {
-    for (size_t shard = 0; shard < nshards; ++shard) {
-      size_t rows = 0;
-      std::string payload =
-          SerializeTupleBlock(batch.tuples, shard, shard + 1, nshards, &rows);
-      if (rows == 0) continue;  // empty shard range: nothing to ship
-      Message msg;
-      msg.kind = Message::Kind::kTupleBlock;
-      msg.from_node = name;
-      msg.to_node = batch.dest;
-      msg.relation = batch.relation;
-      msg.payload = std::move(payload);
-      state->tuples_out += rows;
-      outbox->push_back(std::move(msg));
-    }
+    Message msg;
+    msg.kind = Message::Kind::kTupleBlock;
+    msg.from_node = name;
+    msg.to_node = batch.dest;
+    msg.relation = batch.relation;
+    msg.payload = SerializeTupleBlock(batch.tuples);
+    state->tuples_out += batch.tuples.size();
+    outbox->push_back(std::move(msg));
   }
   return util::OkStatus();
 }

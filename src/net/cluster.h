@@ -65,13 +65,6 @@ class Cluster {
     /// Wall-clock seconds used when receiving nodes validity-check imported
     /// credentials (0 is fine for unbounded credentials; tests pin it).
     int64_t credential_now = 0;
-    /// When > 1, each (destination, relation) batch ships as up to this
-    /// many messages, one per wire-shard range (WireTupleShard routing),
-    /// built with the shard-filtered SerializeTupleBlock — no gather pass
-    /// over the batch. Receivers are unaffected: every message is an
-    /// ordinary tuple block, and delivery stays in batch order. 1 (the
-    /// default) keeps the classic one-message-per-batch wire behavior.
-    size_t ship_shards = 1;
   };
 
   Cluster() : Cluster(Options()) {}

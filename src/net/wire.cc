@@ -253,34 +253,13 @@ Result<Tuple> DeserializeTuple(std::string_view text) {
   return out;
 }
 
-size_t WireTupleShard(const Tuple& tuple, size_t shard_count) {
-  if (shard_count <= 1) return 0;
-  // Seed and combiner match the relation's row hash shape, but over the
-  // wire codec's value bytes: serialized form is the only identity both
-  // peers share (ids are pool-local).
-  uint64_t h = 0x811C9DC5ULL;
-  for (const Value& v : tuple) {
-    h = util::HashCombine(h, std::hash<std::string>{}(SerializeValue(v)));
-  }
-  return static_cast<size_t>(h % shard_count);
-}
-
-std::string SerializeTupleBlock(const std::vector<Tuple>& tuples,
-                                size_t shard_begin, size_t shard_end,
-                                size_t shard_count, size_t* rows_out) {
+std::string SerializeTupleBlock(const std::vector<Tuple>& tuples) {
   // Dictionary: first occurrence wins; identity is the serialized form
   // (exactly the per-value wire codec, so nothing new to trust).
-  const bool filtered = shard_count > 1;
   std::vector<std::string> dict;
   std::unordered_map<std::string, size_t> index;
   std::string rows;
-  size_t row_count = 0;
   for (const Tuple& tuple : tuples) {
-    if (filtered) {
-      const size_t shard = WireTupleShard(tuple, shard_count);
-      if (shard < shard_begin || shard >= shard_end) continue;
-    }
-    ++row_count;
     rows += std::to_string(tuple.size());
     rows.push_back(':');
     for (const Value& v : tuple) {
@@ -291,19 +270,14 @@ std::string SerializeTupleBlock(const std::vector<Tuple>& tuples,
       rows.push_back(':');
     }
   }
-  if (rows_out != nullptr) *rows_out = row_count;
   std::string out = "B:";
   out += std::to_string(dict.size());
   out.push_back(':');
   for (const std::string& entry : dict) out += entry;
-  out += std::to_string(row_count);
+  out += std::to_string(tuples.size());
   out.push_back(':');
   out += rows;
   return out;
-}
-
-std::string SerializeTupleBlock(const std::vector<Tuple>& tuples) {
-  return SerializeTupleBlock(tuples, 0, 1, 1);
 }
 
 Result<std::vector<Tuple>> DeserializeTupleBlock(std::string_view text) {

@@ -34,25 +34,6 @@ util::Result<datalog::Tuple> DeserializeTuple(std::string_view text);
 ///   row   := <arity> ':' (<dict-index> ':')*
 std::string SerializeTupleBlock(const std::vector<datalog::Tuple>& tuples);
 
-/// Stable wire-level shard router: hashes the serialized form of every
-/// value in the tuple, so both ends of a connection assign the same shard
-/// without sharing a value pool (engine-side row ids are pool-local and
-/// never cross the wire). Returns 0 when `shard_count` <= 1.
-size_t WireTupleShard(const datalog::Tuple& tuple, size_t shard_count);
-
-/// Shard-range-filtered variant of SerializeTupleBlock: serializes only
-/// the tuples whose WireTupleShard with `shard_count` lands in
-/// [shard_begin, shard_end), in their original order. Lets per-peer
-/// batches be built one shard range at a time without a gather pass over
-/// the batch; the full range [0, shard_count) is byte-identical to the
-/// unfiltered form. `rows_out`, when non-null, receives the number of
-/// tuples actually serialized (so callers can skip empty sub-blocks and
-/// account shipped tuples without re-hashing).
-std::string SerializeTupleBlock(const std::vector<datalog::Tuple>& tuples,
-                                size_t shard_begin, size_t shard_end,
-                                size_t shard_count,
-                                size_t* rows_out = nullptr);
-
 util::Result<std::vector<datalog::Tuple>> DeserializeTupleBlock(
     std::string_view text);
 

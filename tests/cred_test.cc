@@ -41,7 +41,7 @@ std::string Snapshot(const datalog::Workspace& ws) {
     if (rel == nullptr) continue;
     std::vector<std::string> rows;
     rows.reserve(rel->size());
-    for (uint32_t i : rel->Rows()) {
+    for (size_t i = 0; i < rel->size(); ++i) {
       rows.push_back(datalog::TupleToString(rel->RowTuple(i)));
     }
     std::sort(rows.begin(), rows.end());

@@ -90,23 +90,6 @@ TEST_P(InternDifferentialTest, ParallelEvaluationMatchesSeed) {
       << "program: " << prog.name;
 }
 
-TEST_P(InternDifferentialTest, ShardedParallelEvaluationMatchesSeed) {
-  // Sharded storage with the parallel per-shard merge must also reproduce
-  // the seed-representation dumps byte-for-byte: repartitioning by row
-  // hash never changes the stored set, and Dump sorts away the
-  // enumeration-order difference.
-  const auto& prog = lbtrust::testing::kGoldenPrograms[GetParam()];
-  Workspace::Options opts;
-  opts.principal = prog.principal;
-  opts.threads = 4;
-  opts.shards = 8;
-  Workspace ws(opts);
-  ASSERT_TRUE(ws.Load(prog.program).ok());
-  ASSERT_TRUE(ws.Fixpoint().ok());
-  EXPECT_EQ(DumpWorkspace(ws, 0), kGoldenDumps[GetParam()])
-      << "program: " << prog.name;
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Corpus, InternDifferentialTest,
     ::testing::Range<size_t>(0, lbtrust::testing::kNumGoldenPrograms),

@@ -205,16 +205,11 @@ TEST(RelationArityDeathTest, ArityBeyondCapHardFails) {
 
 // --- Randomized churn: differential against a std::set model ---------------
 // Exercises tombstone reuse, swap-and-pop index patch-up and built_upto
-// edges by interleaving inserts, erases and index-building lookups —
-// per shard count, since every one of those code paths is now per-shard
-// (shards = 1 is the classic single-partition layout).
+// edges by interleaving inserts, erases and index-building lookups.
 
-class RelationChurnTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(RelationChurnTest, RandomizedInsertEraseLookupMatchesSetModel) {
+TEST(RelationChurnTest, RandomizedInsertEraseLookupMatchesSetModel) {
   std::mt19937 rng(20260729);
-  Relation rel(2, nullptr, GetParam());
-  ASSERT_EQ(rel.shard_count(), GetParam());
+  Relation rel(2);
   std::set<std::pair<int, int>> model;
   std::vector<std::pair<int, int>> live;  // model contents, for erase picks
 
@@ -274,18 +269,33 @@ TEST_P(RelationChurnTest, RandomizedInsertEraseLookupMatchesSetModel) {
   }
   // Full final sweep: every surviving row matches the model exactly.
   std::set<std::pair<int, int>> stored;
-  for (uint32_t i : rel.Rows()) {
+  for (size_t i = 0; i < rel.size(); ++i) {
     stored.emplace(static_cast<int>(rel.ValueAt(i, 0).AsInt()),
                    static_cast<int>(rel.ValueAt(i, 1).AsInt()));
   }
   EXPECT_EQ(stored, model);
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, RelationChurnTest,
-                         ::testing::Values<size_t>(1, 2, 8),
-                         [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "shards" + std::to_string(info.param);
-                         });
+// Row ids handed out by LookupIds stay valid while the relation grows:
+// appends never move an existing row.
+TEST(RelationTest, LookupIdsStayValidAcrossAppends) {
+  Relation rel(2);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(rel.Insert(T(i % 10, i)));
+  }
+  IdTuple key = InternTuple(rel.pool(), {Value::Int(3)});
+  std::vector<uint32_t> ids;
+  rel.LookupIds(0b01, key.data(), &ids);
+  ASSERT_EQ(ids.size(), 10u);
+  std::vector<Tuple> before;
+  for (uint32_t id : ids) before.push_back(rel.RowTuple(id));
+  for (int i = 100; i < 1100; ++i) {
+    ASSERT_TRUE(rel.Insert(T(i % 10 + 50, i)));
+  }
+  for (size_t k = 0; k < ids.size(); ++k) {
+    EXPECT_EQ(rel.RowTuple(ids[k]), before[k]);
+  }
+}
 
 }  // namespace
 }  // namespace lbtrust::datalog

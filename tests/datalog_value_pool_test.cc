@@ -158,7 +158,7 @@ TEST(ValuePoolTest, CrossTransactionIdStability) {
   ASSERT_NE(access, nullptr);
   ASSERT_EQ(access->size(), 2u);
   bool saw_alice = false;
-  for (uint32_t i : access->Rows()) {
+  for (size_t i = 0; i < access->size(); ++i) {
     if (access->RowIds(i)[0] == before) saw_alice = true;
   }
   EXPECT_TRUE(saw_alice);

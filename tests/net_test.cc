@@ -1,6 +1,5 @@
 #include "net/cluster.h"
 
-#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -129,6 +128,14 @@ TEST(WireBlockTest, RoundTripWithDictionarySharing) {
   EXPECT_EQ(block.find("alice", first + 1), std::string::npos);
 }
 
+// Peers on other builds decode these bytes: the block layout is pinned.
+TEST(WireBlockTest, BlockBytesArePinned) {
+  std::vector<Tuple> tuples = {{Value::Sym("alice"), Value::Int(1)},
+                               {Value::Sym("alice"), Value::Int(2)}};
+  EXPECT_EQ(SerializeTupleBlock(tuples),
+            "B:3:y:5:alicei:1:1i:1:22:2:0:1:2:0:2:");
+}
+
 TEST(WireBlockTest, EmptyBlockRoundTrips) {
   auto back = DeserializeTupleBlock(SerializeTupleBlock({}));
   ASSERT_TRUE(back.ok());
@@ -154,42 +161,6 @@ TEST(WireBlockTest, MalformedBlocksReturnStatusNotCrash) {
   for (const char* c : kCases) {
     EXPECT_FALSE(DeserializeTupleBlock(c).ok()) << "input: " << c;
   }
-}
-
-TEST(WireBlockTest, ShardFilterPartitionsBlock) {
-  std::vector<Tuple> tuples;
-  for (int i = 0; i < 64; ++i) {
-    tuples.push_back({Value::Sym("alice"), Value::Int(i)});
-  }
-  // The full range is byte-identical to the unfiltered serializer.
-  EXPECT_EQ(SerializeTupleBlock(tuples, 0, 4, 4), SerializeTupleBlock(tuples));
-  EXPECT_EQ(SerializeTupleBlock(tuples, 0, 1, 1), SerializeTupleBlock(tuples));
-  // Per-shard sub-blocks partition the batch: disjoint, order-preserving,
-  // and their union is the whole batch.
-  std::vector<Tuple> reassembled;
-  size_t total_rows = 0;
-  for (size_t s = 0; s < 4; ++s) {
-    size_t rows = 0;
-    auto part = DeserializeTupleBlock(
-        SerializeTupleBlock(tuples, s, s + 1, 4, &rows));
-    ASSERT_TRUE(part.ok()) << part.status().ToString();
-    EXPECT_EQ(part->size(), rows);
-    total_rows += rows;
-    for (const Tuple& t : *part) {
-      EXPECT_EQ(WireTupleShard(t, 4), s);
-      reassembled.push_back(t);
-    }
-  }
-  EXPECT_EQ(total_rows, tuples.size());
-  // Routing must actually spread rows (splitmix-backed value hashes).
-  EXPECT_LT(DeserializeTupleBlock(SerializeTupleBlock(tuples, 0, 1, 4))->size(),
-            tuples.size());
-  // Same rows overall; order within each shard matches the batch order.
-  std::sort(reassembled.begin(), reassembled.end(),
-            [](const Tuple& a, const Tuple& b) {
-              return a[1].AsInt() < b[1].AsInt();
-            });
-  EXPECT_EQ(reassembled, tuples);
 }
 
 class SchemeExchangeTest : public ::testing::TestWithParam<const char*> {};
@@ -305,41 +276,6 @@ TEST(ClusterTest, MessagesAreDedupedAcrossRounds) {
   auto second = cluster.Run();
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->messages, 0u);
-}
-
-TEST(ClusterTest, ShardedShippingConvergesIdentically) {
-  // ship_shards > 1 splits each (dest, relation) batch into per-shard
-  // messages via the filtered serializer; the receiver must converge on
-  // exactly the same facts, with the same total tuples delivered.
-  auto run = [](size_t ship_shards) {
-    Cluster::Options copts;
-    copts.scheme = "plaintext";
-    copts.ship_shards = ship_shards;
-    Cluster cluster(copts);
-    trust::TrustRuntime::Options small;
-    small.rsa_bits = 512;
-    EXPECT_TRUE(cluster.AddNode("alice", small).ok());
-    EXPECT_TRUE(cluster.AddNode("bob", small).ok());
-    EXPECT_TRUE(cluster.Connect().ok());
-    EXPECT_TRUE(cluster.node("alice")
-                    ->Load("says(me,bob,[| ping(N). |]) <- num(N).")
-                    .ok());
-    for (int i = 0; i < 12; ++i) {
-      EXPECT_TRUE(cluster.node("alice")
-                      ->workspace()
-                      ->AddFactText("num(" + std::to_string(i) + ").")
-                      .ok());
-    }
-    auto stats = cluster.Run();
-    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-    return std::make_pair(*cluster.node("bob")->workspace()->Count("ping(N)"),
-                          stats->tuples);
-  };
-  auto [classic_pings, classic_tuples] = run(1);
-  auto [sharded_pings, sharded_tuples] = run(4);
-  EXPECT_EQ(classic_pings, 12u);
-  EXPECT_EQ(sharded_pings, classic_pings);
-  EXPECT_EQ(sharded_tuples, classic_tuples);
 }
 
 TEST(ClusterTest, ThreeHopRelay) {

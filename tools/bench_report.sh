@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Runs the engine/relation/distributed/observability/crypto benchmarks and
-# merges the results into one machine-readable "name -> ns/op" JSON, stamped
+# Runs the engine/relation/distributed/observability/crypto benchmarks
+# REPETITIONS times each and merges the results into one machine-readable
+# JSON: "benchmarks" maps name -> median ns/op and "stddev" maps name ->
+# the standard deviation of the repetitions (ns/op). The report is stamped
 # with the host and build it ran on (nproc, affinity mask, CPU model,
 # compiler, build type, git SHA), so reports are only compared when they
 # come from the same host. The checked-in BENCH_PR*.json files are past
@@ -26,6 +28,8 @@ BUILD_DIR="${1:-build-bench}"
 OUT="${2:-${BUILD_DIR}/bench_report.json}"
 TARGETS=(${BENCH_TARGETS:-bench_engine bench_relation bench_dist bench_obs bench_crypto})
 MIN_TIME="${BENCH_MIN_TIME:-0.2}"
+# Fixed so that every report carries the same sample count per benchmark.
+REPETITIONS=5
 
 if [[ ! -f "${BUILD_DIR}/CMakeCache.txt" ]]; then
   cmake -B "${BUILD_DIR}" -S . \
@@ -42,26 +46,29 @@ for bench in "${TARGETS[@]}"; do
   echo "== ${bench} =="
   "${BUILD_DIR}/${bench}" \
     --benchmark_format=json \
-    --benchmark_min_time="${MIN_TIME}" > "${TMP}/${bench}.json"
+    --benchmark_min_time="${MIN_TIME}" \
+    --benchmark_repetitions="${REPETITIONS}" \
+    --benchmark_report_aggregates_only=true > "${TMP}/${bench}.json"
 done
 
-python3 - "${OUT}" "${BUILD_DIR}" "${TMP}"/*.json <<'EOF'
+python3 - "${OUT}" "${BUILD_DIR}" "${REPETITIONS}" "${TMP}"/*.json <<'EOF'
 import json
 import os
 import subprocess
 import sys
 
-out_path, build_dir = sys.argv[1], sys.argv[2]
+out_path, build_dir, repetitions = sys.argv[1], sys.argv[2], int(sys.argv[3])
 scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-merged = {}
-for path in sys.argv[3:]:
+aggregates = {"median": {}, "stddev": {}}
+for path in sys.argv[4:]:
     with open(path) as f:
         report = json.load(f)
     for bench in report.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
+        series = aggregates.get(bench.get("aggregate_name"))
+        if bench.get("run_type") != "aggregate" or series is None:
             continue
         ns = bench["real_time"] * scale[bench.get("time_unit", "ns")]
-        merged[bench["name"]] = round(ns, 1)
+        series[bench["run_name"]] = round(ns, 1)
 
 cache = {}
 with open(f"{build_dir}/CMakeCache.txt") as f:
@@ -88,6 +95,7 @@ cpus = sorted(os.sched_getaffinity(0))
 
 out = {
     "unit": "ns/op",
+    "repetitions": repetitions,
     "build_type": cache.get("CMAKE_BUILD_TYPE") or "RelWithDebInfo (default)",
     "host": {
         "nproc": len(cpus),
@@ -97,10 +105,11 @@ out = {
                                 "--version"]),
         "git_sha": first_line(["git", "rev-parse", "HEAD"]),
     },
-    "benchmarks": merged,
+    "benchmarks": aggregates["median"],
+    "stddev": aggregates["stddev"],
 }
 with open(out_path, "w") as f:
     json.dump(out, f, indent=2, sort_keys=True)
     f.write("\n")
-print(f"wrote {out_path} ({len(merged)} benchmarks)")
+print(f"wrote {out_path} ({len(aggregates['median'])} benchmarks)")
 EOF
