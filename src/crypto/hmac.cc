@@ -1,49 +1,53 @@
 #include "crypto/hmac.h"
 
-#include <cstdint>
-
-#include "crypto/sha1.h"
-#include "crypto/sha256.h"
+#include <algorithm>
 
 namespace lbtrust::crypto {
 
-namespace {
-
 template <typename Hash>
-std::string HmacImpl(std::string_view key, std::string_view message) {
-  std::string k(key);
-  if (k.size() > Hash::kBlockSize) k = Hash::Digest(k);
-  k.resize(Hash::kBlockSize, '\0');
-
-  std::string inner(Hash::kBlockSize, '\0');
-  std::string outer(Hash::kBlockSize, '\0');
-  for (size_t i = 0; i < Hash::kBlockSize; ++i) {
-    inner[i] = static_cast<char>(k[i] ^ 0x36);
-    outer[i] = static_cast<char>(k[i] ^ 0x5c);
+HmacKey<Hash>::HmacKey(std::string_view key) {
+  uint8_t block[Hash::kBlockSize] = {};
+  if (key.size() > Hash::kBlockSize) {
+    Hash h;
+    h.Update(key);
+    h.Final(block);
+  } else {
+    std::copy(key.begin(), key.end(), block);
   }
-
-  Hash h;
-  h.Update(inner);
-  h.Update(message);
-  uint8_t inner_digest[Hash::kDigestSize];
-  h.Final(inner_digest);
-
-  Hash h2;
-  h2.Update(outer);
-  h2.Update(inner_digest, Hash::kDigestSize);
-  uint8_t out[Hash::kDigestSize];
-  h2.Final(out);
-  return std::string(reinterpret_cast<char*>(out), Hash::kDigestSize);
+  uint8_t pad[Hash::kBlockSize];
+  for (size_t i = 0; i < Hash::kBlockSize; ++i) pad[i] = block[i] ^ 0x36;
+  inner_.Update(pad, Hash::kBlockSize);
+  for (size_t i = 0; i < Hash::kBlockSize; ++i) pad[i] = block[i] ^ 0x5c;
+  outer_.Update(pad, Hash::kBlockSize);
 }
 
-}  // namespace
+template <typename Hash>
+void HmacKey<Hash>::Tag(std::string_view message,
+                        uint8_t out[kTagSize]) const {
+  Hash h = inner_;
+  h.Update(message);
+  h.Final(out);  // the inner digest, absorbed below before `out` is rewritten
+  h = outer_;
+  h.Update(out, kTagSize);
+  h.Final(out);
+}
+
+template <typename Hash>
+std::string HmacKey<Hash>::Tag(std::string_view message) const {
+  uint8_t out[kTagSize];
+  Tag(message, out);
+  return std::string(reinterpret_cast<const char*>(out), kTagSize);
+}
+
+template class HmacKey<Sha1>;
+template class HmacKey<Sha256>;
 
 std::string HmacSha1(std::string_view key, std::string_view message) {
-  return HmacImpl<Sha1>(key, message);
+  return HmacSha1Key(key).Tag(message);
 }
 
 std::string HmacSha256(std::string_view key, std::string_view message) {
-  return HmacImpl<Sha256>(key, message);
+  return HmacKey<Sha256>(key).Tag(message);
 }
 
 bool ConstantTimeEquals(std::string_view a, std::string_view b) {

@@ -95,15 +95,18 @@ void Sha256::Update(const void* data, size_t len) {
 
 void Sha256::Final(uint8_t out[kDigestSize]) {
   uint64_t bit_len = length_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffered_ != 56) Update(&zero, 1);
-  uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - i * 8));
+  // Pad in place, as in Sha1::Final (same Merkle-Damgard padding).
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_ + buffered_, 0, kBlockSize - buffered_);
+    ProcessBlock(buffer_);
+    buffered_ = 0;
   }
-  Update(len_bytes, 8);
+  std::memset(buffer_ + buffered_, 0, 56 - buffered_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - i * 8));
+  }
+  ProcessBlock(buffer_);
   for (int i = 0; i < 8; ++i) {
     out[i * 4] = static_cast<uint8_t>(state_[i] >> 24);
     out[i * 4 + 1] = static_cast<uint8_t>(state_[i] >> 16);

@@ -27,25 +27,31 @@ std::string KeyStore::AddRsaPublicKey(const crypto::RsaPublicKey& key) {
 
 std::string KeyStore::AddSharedSecret(const std::string& secret) {
   std::string handle = util::StrCat("hmac:", MaterialFingerprint(secret));
-  secrets_.emplace(handle, secret);
+  secrets_.emplace(handle, SharedSecret{secret, crypto::HmacSha1Key(secret)});
   return handle;
 }
 
 const crypto::RsaPrivateKey* KeyStore::FindPrivate(
-    const std::string& handle) const {
+    std::string_view handle) const {
   auto it = private_keys_.find(handle);
   return it == private_keys_.end() ? nullptr : &it->second;
 }
 
 const crypto::RsaPublicKey* KeyStore::FindPublic(
-    const std::string& handle) const {
+    std::string_view handle) const {
   auto it = public_keys_.find(handle);
   return it == public_keys_.end() ? nullptr : &it->second;
 }
 
-const std::string* KeyStore::FindSecret(const std::string& handle) const {
+const std::string* KeyStore::FindSecret(std::string_view handle) const {
   auto it = secrets_.find(handle);
-  return it == secrets_.end() ? nullptr : &it->second;
+  return it == secrets_.end() ? nullptr : &it->second.secret;
+}
+
+const crypto::HmacSha1Key* KeyStore::FindHmacKey(
+    std::string_view handle) const {
+  auto it = secrets_.find(handle);
+  return it == secrets_.end() ? nullptr : &it->second.hmac;
 }
 
 util::Result<std::string> KeyStore::Fingerprint(

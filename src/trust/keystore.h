@@ -3,8 +3,10 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "crypto/hmac.h"
 #include "crypto/rsa.h"
 #include "util/status.h"
 
@@ -18,13 +20,17 @@ class KeyStore {
  public:
   /// Stores a key and returns its handle ("rsa:priv:<fp>", "rsa:pub:<fp>",
   /// "hmac:<fp>"). Re-adding identical material returns the same handle.
+  /// A shared secret is stored with its HMAC-SHA1 keyed state, built once
+  /// here and immutable afterwards.
   std::string AddRsaPrivateKey(const crypto::RsaPrivateKey& key);
   std::string AddRsaPublicKey(const crypto::RsaPublicKey& key);
   std::string AddSharedSecret(const std::string& secret);
 
-  const crypto::RsaPrivateKey* FindPrivate(const std::string& handle) const;
-  const crypto::RsaPublicKey* FindPublic(const std::string& handle) const;
-  const std::string* FindSecret(const std::string& handle) const;
+  const crypto::RsaPrivateKey* FindPrivate(std::string_view handle) const;
+  const crypto::RsaPublicKey* FindPublic(std::string_view handle) const;
+  const std::string* FindSecret(std::string_view handle) const;
+  /// The HMAC-SHA1 keyed state of a shared secret (see AddSharedSecret).
+  const crypto::HmacSha1Key* FindHmacKey(std::string_view handle) const;
 
   /// Fingerprint of the key material behind a stored handle (the "<fp>"
   /// component: crypto::KeyFingerprint for RSA keys — identical for a key
@@ -47,9 +53,13 @@ class KeyStore {
   }
 
  private:
-  std::map<std::string, crypto::RsaPrivateKey> private_keys_;
-  std::map<std::string, crypto::RsaPublicKey> public_keys_;
-  std::map<std::string, std::string> secrets_;
+  std::map<std::string, crypto::RsaPrivateKey, std::less<>> private_keys_;
+  std::map<std::string, crypto::RsaPublicKey, std::less<>> public_keys_;
+  struct SharedSecret {
+    std::string secret;
+    crypto::HmacSha1Key hmac;
+  };
+  std::map<std::string, SharedSecret, std::less<>> secrets_;
 };
 
 }  // namespace lbtrust::trust

@@ -61,6 +61,52 @@ TEST(Sha1Test, BlockBoundaryLengths) {
   }
 }
 
+// 'a' repeated n times, for n around the one/two-block padding boundary
+// (55 bytes fit one block with the length, 56 do not). Digests computed
+// with Python's hashlib.
+struct PaddingVector {
+  size_t n;
+  const char* sha1;
+  const char* sha256;
+};
+
+const PaddingVector kPaddingVectors[] = {
+    {0, "da39a3ee5e6b4b0d3255bfef95601890afd80709",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+    {1, "86f7e437faa5a7fce15d1ddcb9eaeaea377667b8",
+     "ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb"},
+    {55, "c1c8bbdc22796e28c0e15163d20899b65621d65a",
+     "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+    {56, "c2db330f6083854c99d4b5bfb6e8f29f201be699",
+     "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+    {57, "f08f24908d682555111be7ff6f004e78283d989a",
+     "f13b2d724659eb3bf47f2dd6af1accc87b81f09f59f2b75e5c0bed6589dfe8c6"},
+    {63, "03f09f5b158a7a8cdad920bddc29b81c18a551f5",
+     "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+    {64, "0098ba824b5c16427bd7a1122a5a442a25ec644d",
+     "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+    {65, "11655326c708d70319be2610e8a57d9a5b959d3b",
+     "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+    {119, "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56",
+     "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+    {120, "f34c1488385346a55709ba056ddd08280dd4c6d6",
+     "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+    {128, "ad5b3fdbcb526778c2839d2f151ea753995e26a0",
+     "6836cf13bac400e9105071cd6af47084dfacad4e5e302c94bfed24e013afb73e"},
+};
+
+TEST(Sha1Test, PaddingBoundaryVectors) {
+  for (const PaddingVector& v : kPaddingVectors) {
+    EXPECT_EQ(Sha1::HexDigest(std::string(v.n, 'a')), v.sha1) << v.n;
+  }
+}
+
+TEST(Sha256Test, PaddingBoundaryVectors) {
+  for (const PaddingVector& v : kPaddingVectors) {
+    EXPECT_EQ(Sha256::HexDigest(std::string(v.n, 'a')), v.sha256) << v.n;
+  }
+}
+
 TEST(Sha256Test, KnownVectors) {
   EXPECT_EQ(Sha256::HexDigest(""),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");

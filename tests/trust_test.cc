@@ -433,5 +433,75 @@ TEST(CryptoBuiltinsTest, SigningIsCachedAcrossFixpoints) {
   EXPECT_GE(alice->crypto_stats().cache_hits, 1u);
 }
 
+TEST(CryptoBuiltinsTest, HmacSignVerify) {
+  auto alice = MakeRuntime("alice");
+  ASSERT_TRUE(alice->AddSharedSecret("bob", "s3cret").ok());
+  ASSERT_TRUE(alice->AddSharedSecret("carol", "other").ok());
+  HmacScheme hmac;
+  ASSERT_TRUE(alice->UseScheme(hmac).ok());
+  ASSERT_TRUE(alice->Say("bob", "access(carol,file1,read).").ok());
+  ASSERT_TRUE(
+      alice
+          ->Load("tag(P,T) <- sharedsecret(me,P,K), hmacsign(\"m\",K,T).\n"
+                 "accepted(T) <- candidate(T), sharedsecret(me,bob,K), "
+                 "hmacverify(\"m\",T,K).\n"
+                 "stray(T) <- tag(bob,T), hmacverify(\"m\",T,\"hmac:none\").")
+          .ok());
+  ASSERT_TRUE(alice->Fixpoint().ok());
+
+  // HMAC-SHA1("s3cret", "m"), and the tag over the exported rule's
+  // canonical text "access(carol,file1,read)." (both from Python's hmac).
+  auto bob_tag = alice->workspace()->Query("tag(bob,T)");
+  ASSERT_TRUE(bob_tag.ok());
+  ASSERT_EQ(bob_tag->size(), 1u);
+  const std::string tag = (*bob_tag)[0][1].AsText();
+  EXPECT_EQ(tag, "3c04253d4bfbc9f4965abb1ad8b32d9126ea8040");
+  auto exported = alice->workspace()->Query("export[bob](alice,R,S)");
+  ASSERT_TRUE(exported.ok());
+  ASSERT_EQ(exported->size(), 1u);
+  // Columns: partition (bob), sender, rule, tag.
+  EXPECT_EQ((*exported)[0][3].AsText(),
+            "26b3af049db45b871878f84e1ddb67cfaf789b99");
+
+  // Only the right tag verifies: not one made under carol's secret, not a
+  // truncated one, not one that is not hex.
+  auto carol_tag = alice->workspace()->Query("tag(carol,T)");
+  ASSERT_TRUE(carol_tag.ok());
+  ASSERT_EQ(carol_tag->size(), 1u);
+  for (const std::string& candidate :
+       {tag, (*carol_tag)[0][1].AsText(), tag.substr(0, tag.size() - 2),
+        "zz" + tag.substr(2)}) {
+    ASSERT_TRUE(
+        alice->workspace()->AddFact("candidate", {Value::Str(candidate)}).ok());
+  }
+  ASSERT_TRUE(alice->Fixpoint().ok());
+  auto accepted = alice->workspace()->Query("accepted(T)");
+  ASSERT_TRUE(accepted.ok());
+  ASSERT_EQ(accepted->size(), 1u);
+  EXPECT_EQ((*accepted)[0][0].AsText(), tag);
+  // An unknown handle verifies nothing, and signing under one fails.
+  EXPECT_EQ(*alice->workspace()->Count("stray(T)"), 0u);
+  auto stranger = MakeRuntime("stranger");
+  ASSERT_TRUE(
+      stranger->Load("tag(T) <- hmacsign(\"m\",\"hmac:none\",T).").ok());
+  util::Status st = stranger->Fixpoint();
+  EXPECT_EQ(st.code(), util::StatusCode::kCryptoError) << st.ToString();
+
+  // Rule churn forces a full rebuild, which re-signs every export; the
+  // rows must come back byte-identical.
+  auto rows_text = [](const std::vector<datalog::Tuple>& rows) {
+    std::vector<std::string> out;
+    for (const auto& row : rows) out.push_back(datalog::TupleToString(row));
+    return out;
+  };
+  std::vector<std::string> before = rows_text(*exported);
+  ASSERT_TRUE(alice->Load("unrelated(X) <- prin(X).").ok());
+  ASSERT_TRUE(alice->Fixpoint().ok());
+  EXPECT_FALSE(alice->workspace()->last_fixpoint_incremental());
+  auto rebuilt = alice->workspace()->Query("export[bob](alice,R,S)");
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(rows_text(*rebuilt), before);
+}
+
 }  // namespace
 }  // namespace lbtrust::trust
