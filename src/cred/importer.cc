@@ -56,14 +56,16 @@ Result<ImportStats> ImportCredentialSet(const std::string& root_hash,
     // diagnostic (naming the unbound variable or cycle) and zero
     // workspace/store mutation — not discovered later by a failing
     // fixpoint over partially-applied state. The payload speaks from the
-    // issuer's context, so says-attribution is checked against the issuer.
+    // issuer's context, so it is routed and says-attribution checked
+    // against the issuer. Lint reads the clauses parsed above.
     {
       datalog::LintOptions lint_opts;
       lint_opts.builtins = workspace->builtins();
       lint_opts.says_check = true;
       lint_opts.says_principal = cred->issuer;
-      datalog::LintReport lint =
-          datalog::LintProgram(cred->payload, cred->issuer, lint_opts);
+      datalog::LintReport lint = datalog::LintRouted(
+          datalog::RouteClauses(*parsed, cred->issuer), cred->issuer,
+          lint_opts);
       if (lint.has_errors()) {
         txn.Abort();
         util::Status status = lint.ToStatus();

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "datalog/pretty.h"
+
 namespace lbtrust::datalog {
 
 Term Term::Variable(std::string name) {
@@ -174,6 +176,56 @@ void CollectAtomVars(const Atom& a, std::vector<std::string>* out) {
   for (const Term& t : a.args) CollectTermVars(t, out);
 }
 
+namespace {
+
+// Early-exit CollectTermVars: does the term carry a variable outside
+// quoted code?
+bool TermHasVars(const Term& t) {
+  switch (t.kind) {
+    case Term::Kind::kVariable:
+    case Term::Kind::kStarVar:
+      return true;
+    case Term::Kind::kExpr:
+      return TermHasVars(*t.lhs) || TermHasVars(*t.rhs);
+    case Term::Kind::kPartRef:
+      return TermHasVars(*t.part_key);
+    default:
+      return false;  // constants (incl. quoted code) and `me`
+  }
+}
+
+}  // namespace
+
+bool IsGroundFact(const Rule& rule) {
+  if (!rule.IsFact()) return false;
+  for (const Atom& h : rule.heads) {
+    if (h.meta_atom || h.meta_functor) return false;
+    if (h.partition && TermHasVars(*h.partition)) return false;
+    for (const Term& t : h.args) {
+      if (TermHasVars(t)) return false;
+    }
+  }
+  return true;
+}
+
+std::vector<Rule> SplitHeads(Rule rule) {
+  std::vector<Rule> out;
+  if (rule.heads.size() == 1) {
+    out.push_back(std::move(rule));
+    return out;
+  }
+  out.reserve(rule.heads.size());
+  for (const Atom& head : rule.heads) {
+    Rule single;
+    single.label = rule.label;
+    single.heads = {CloneAtom(head)};
+    single.body = rule.body;
+    single.aggregate = rule.aggregate;
+    out.push_back(std::move(single));
+  }
+  return out;
+}
+
 Term ResolveMeTerm(const Term& t, const std::string& principal) {
   switch (t.kind) {
     case Term::Kind::kMe:
@@ -231,6 +283,54 @@ Rule ResolveMeRule(const Rule& r, const std::string& principal) {
     out.body.push_back(Literal{ResolveMeAtom(l.atom, principal), l.negated});
   }
   return out;
+}
+
+std::vector<RoutedClause> RouteClauses(const std::vector<ParsedClause>& clauses,
+                                       const std::string& principal) {
+  std::vector<RoutedClause> routed;
+  for (const ParsedClause& clause : clauses) {
+    if (clause.kind == ParsedClause::Kind::kRule) {
+      for (const Rule& rule : clause.rules) {
+        Rule resolved = ResolveMeRule(rule, principal);
+        if (resolved.heads.size() == 1 &&
+            resolved.heads[0].predicate == "fail" &&
+            resolved.heads[0].args.empty() && !resolved.body.empty()) {
+          RoutedClause item;
+          item.kind = RoutedClause::Kind::kFailConstraint;
+          item.constraint.label = resolved.label;
+          item.constraint.display = PrintRule(resolved);
+          item.constraint.lhs = std::move(resolved.body);
+          routed.push_back(std::move(item));
+          continue;
+        }
+        for (Rule& single : SplitHeads(std::move(resolved))) {
+          RoutedClause item;
+          item.rule = std::move(single);
+          routed.push_back(std::move(item));
+        }
+      }
+      continue;
+    }
+    for (const Constraint& c : clause.constraints) {
+      RoutedClause item;
+      item.kind = RoutedClause::Kind::kConstraint;
+      item.constraint.label = c.label;
+      item.constraint.display = c.display;
+      for (const Literal& l : c.lhs) {
+        item.constraint.lhs.push_back(
+            Literal{ResolveMeAtom(l.atom, principal), l.negated});
+      }
+      for (const auto& alt : c.rhs_dnf) {
+        std::vector<Literal> out;
+        for (const Literal& l : alt) {
+          out.push_back(Literal{ResolveMeAtom(l.atom, principal), l.negated});
+        }
+        item.constraint.rhs_dnf.push_back(std::move(out));
+      }
+      routed.push_back(std::move(item));
+    }
+  }
+  return routed;
 }
 
 }  // namespace lbtrust::datalog

@@ -119,11 +119,36 @@ Rule CloneRule(const Rule& r);
 void CollectTermVars(const Term& t, std::vector<std::string>* out);
 void CollectAtomVars(const Atom& a, std::vector<std::string>* out);
 
+/// True when a clause installs as EDB facts rather than as a rule: a fact
+/// whose heads are not meta atoms and carry no variable outside quoted
+/// code (quoted code may keep its inner variables). Allocation-free.
+bool IsGroundFact(const Rule& rule);
+
+/// The single-head rules a rule installs as: one per head, each with the
+/// shared body and aggregate. A single-head rule passes through as is.
+std::vector<Rule> SplitHeads(Rule rule);
+
 /// Replaces every `me` term (including inside quoted code constants) with
 /// the symbol constant `principal`. Used at rule-install time (§4.1).
 Term ResolveMeTerm(const Term& t, const std::string& principal);
 Atom ResolveMeAtom(const Atom& a, const std::string& principal);
 Rule ResolveMeRule(const Rule& r, const std::string& principal);
+
+/// One program clause in the form the workspace installs it.
+struct RoutedClause {
+  enum class Kind { kRule, kFailConstraint, kConstraint };
+  Kind kind = Kind::kRule;
+  Rule rule;              ///< kRule: single-head
+  Constraint constraint;  ///< kFailConstraint / kConstraint
+};
+
+/// Me-resolves parsed clauses against `principal` and routes them, in
+/// order: a raw `fail() <- body.` rule becomes a kFailConstraint (§3.2),
+/// every other rule one kRule per head (SplitHeads), and each
+/// `lhs -> rhs.` constraint a kConstraint. Workspace::Load, transactions,
+/// LintProgram and the credential importer all route through here.
+std::vector<RoutedClause> RouteClauses(const std::vector<ParsedClause>& clauses,
+                                       const std::string& principal);
 
 }  // namespace lbtrust::datalog
 

@@ -266,6 +266,12 @@ void CollectShallow(const Term& t, std::vector<std::string>* out) {
 CompiledArg CompileArg(const Term& t, VarTable* vars) {
   CompiledArg arg;
   arg.term = CloneTerm(t);
+  if (t.is_variable()) {  // the dominant shape: skip the name round trip
+    arg.kind = CompiledArg::Kind::kVar;
+    arg.slot = vars->Intern(t.var);
+    arg.term_slots.push_back(arg.slot);
+    return arg;
+  }
   std::vector<std::string> deep;
   CollectDeep(t, &deep);
   for (const std::string& name : deep) {
@@ -278,11 +284,6 @@ CompiledArg CompileArg(const Term& t, VarTable* vars) {
     Result<Value> v = EvalGroundTerm(t, no_vars, empty);
     // Ground terms always evaluate (code stays code; arithmetic folds).
     arg.constant = v.ok() ? *v : Value();
-    return arg;
-  }
-  if (t.is_variable()) {
-    arg.kind = CompiledArg::Kind::kVar;
-    arg.slot = vars->Intern(t.var);
     return arg;
   }
   // Arithmetic can only check; patterns (quoted code, partition refs,
@@ -302,40 +303,28 @@ std::vector<CompiledArg> CompileAtomCols(const Atom& atom, VarTable* vars) {
 
 // Greedy scheduling -------------------------------------------------------
 
-struct SchedState {
-  std::vector<bool> bound;  // per slot
-  bool IsBound(int slot) const {
-    return slot >= 0 && slot < static_cast<int>(bound.size()) && bound[slot];
-  }
-  void Bind(int slot) {
-    if (slot >= static_cast<int>(bound.size())) bound.resize(slot + 1, false);
-    bound[slot] = true;
-  }
-};
-
-bool ArgGround(const CompiledArg& arg, const SchedState& st) {
-  if (arg.kind == CompiledArg::Kind::kConst) return true;
+bool ArgGround(const CompiledArg& arg, const RulePlan& plan) {
   for (int slot : arg.term_slots) {
-    if (!st.IsBound(slot)) return false;
+    if (!plan.IsBound(slot)) return false;
   }
-  return true;
+  return true;  // constants carry no slots
 }
 
 // Slots a literal guarantees to bind when it succeeds.
-void BindLiteralOutputs(const CompiledLiteral& lit, SchedState* st) {
+void BindLiteralOutputs(const CompiledLiteral& lit, RulePlan* plan) {
   switch (lit.kind) {
     case CompiledLiteral::Kind::kRelation:
       for (const CompiledArg& c : lit.cols) {
         if (c.kind == CompiledArg::Kind::kVar ||
             c.kind == CompiledArg::Kind::kPattern) {
-          for (int slot : c.term_slots) st->Bind(slot);
+          for (int slot : c.term_slots) plan->bound[slot] = true;
         }
       }
       return;
     case CompiledLiteral::Kind::kEquality:
     case CompiledLiteral::Kind::kBuiltin:
       for (const CompiledArg& c : lit.cols) {
-        for (int slot : c.term_slots) st->Bind(slot);
+        for (int slot : c.term_slots) plan->bound[slot] = true;
       }
       return;
     case CompiledLiteral::Kind::kNegation:
@@ -359,12 +348,12 @@ std::set<int> SlotsUsedElsewhere(const CompiledRule& cr, size_t skip) {
 }
 
 // Returns a negative score when not schedulable.
-int ScheduleScore(const CompiledRule& cr, size_t idx, const SchedState& st) {
+int ScheduleScore(const CompiledRule& cr, size_t idx, const RulePlan& plan) {
   const CompiledLiteral& lit = cr.body[idx];
   switch (lit.kind) {
     case CompiledLiteral::Kind::kEquality: {
-      bool g0 = ArgGround(lit.cols[0], st);
-      bool g1 = ArgGround(lit.cols[1], st);
+      bool g0 = ArgGround(lit.cols[0], plan);
+      bool g1 = ArgGround(lit.cols[1], plan);
       // Pattern sides can consume a ground other side; expressions cannot
       // be inverted.
       if (g0 && g1) return 3000;
@@ -375,14 +364,14 @@ int ScheduleScore(const CompiledRule& cr, size_t idx, const SchedState& st) {
     case CompiledLiteral::Kind::kBuiltin: {
       if (lit.negated) {
         for (const CompiledArg& c : lit.cols) {
-          if (!ArgGround(c, st)) return -1;
+          if (!ArgGround(c, plan)) return -1;
         }
         return 2500;
       }
       for (const std::string& mode : lit.builtin->modes) {
         bool ok = true;
         for (size_t i = 0; i < mode.size(); ++i) {
-          if (mode[i] == 'b' && !ArgGround(lit.cols[i], st)) {
+          if (mode[i] == 'b' && !ArgGround(lit.cols[i], plan)) {
             ok = false;
             break;
           }
@@ -397,7 +386,7 @@ int ScheduleScore(const CompiledRule& cr, size_t idx, const SchedState& st) {
       std::set<int> elsewhere = SlotsUsedElsewhere(cr, idx);
       for (const CompiledArg& c : lit.cols) {
         for (int slot : c.term_slots) {
-          if (!st.IsBound(slot) && elsewhere.count(slot)) return -1;
+          if (!plan.IsBound(slot) && elsewhere.count(slot)) return -1;
         }
       }
       return 2400;
@@ -405,10 +394,10 @@ int ScheduleScore(const CompiledRule& cr, size_t idx, const SchedState& st) {
     case CompiledLiteral::Kind::kRelation: {
       int bound_cols = 0;
       for (const CompiledArg& c : lit.cols) {
-        if (c.kind == CompiledArg::Kind::kExpr && !ArgGround(c, st)) {
+        if (c.kind == CompiledArg::Kind::kExpr && !ArgGround(c, plan)) {
           return -1;  // cannot match through arithmetic
         }
-        if (ArgGround(c, st)) ++bound_cols;
+        if (ArgGround(c, plan)) ++bound_cols;
       }
       return 1000 + 50 * bound_cols;
     }
@@ -440,91 +429,115 @@ bool RuleParallelSafe(const CompiledRule& cr) {
   return true;
 }
 
-// Statically derives the probe mask of every relation/negation literal
-// along `order`. For const/var-only rules the runtime mask at a position
-// is exactly "constant columns + variables bound by earlier literals", so
-// the parallel evaluator can pre-build these indexes before freezing.
-CompiledRule::OrderProbes ComputeOrderProbes(const CompiledRule& cr,
-                                             const std::vector<int>& order) {
+// The indexes the parallel evaluator pre-builds for one planned order:
+// the plan's mask at every relation/negation position that probes one.
+CompiledRule::OrderProbes ProbesOf(const CompiledRule& cr,
+                                   const RulePlan& plan) {
   CompiledRule::OrderProbes out;
-  SchedState st;
-  st.bound.resize(cr.vars.size(), false);
-  for (size_t oi = 0; oi < order.size(); ++oi) {
-    const CompiledLiteral& lit = cr.body[static_cast<size_t>(order[oi])];
-    if (lit.kind == CompiledLiteral::Kind::kRelation ||
-        lit.kind == CompiledLiteral::Kind::kNegation) {
-      const size_t arity = lit.cols.size();
-      uint64_t mask = 0;
-      for (size_t i = 0; i < arity; ++i) {
-        const CompiledArg& c = lit.cols[i];
-        if (c.kind == CompiledArg::Kind::kConst ||
-            (c.kind == CompiledArg::Kind::kVar && st.IsBound(c.slot))) {
-          mask |= uint64_t{1} << i;
-        }
-      }
-      const uint64_t full =
-          arity >= 64 ? ~uint64_t{0} : (uint64_t{1} << arity) - 1;
-      if (oi == 0 && lit.kind == CompiledLiteral::Kind::kRelation) {
+  for (size_t oi = 0; oi < plan.order.size(); ++oi) {
+    const CompiledLiteral& lit = cr.body[static_cast<size_t>(plan.order[oi])];
+    const uint64_t mask = plan.masks[oi];
+    const size_t arity = lit.cols.size();
+    const uint64_t full =
+        arity >= 64 ? ~uint64_t{0} : (uint64_t{1} << arity) - 1;
+    if (lit.kind == CompiledLiteral::Kind::kRelation) {
+      if (oi == 0) {
         // Leading relation literal: chunks enumerate its row range
         // directly (filtering constants with id compares), no index.
         out.partition_first = true;
-      } else if (lit.kind == CompiledLiteral::Kind::kRelation) {
+      } else if (mask != 0 && mask != full) {
         // mask == 0 scans; mask == full short-circuits to ContainsIds.
-        if (mask != 0 && mask != full) {
-          out.index_masks.push_back({order[oi], mask});
-        }
-      } else {
-        // Negation probes MatchesIds for any nonzero mask (incl. full).
-        if (mask != 0) out.index_masks.push_back({order[oi], mask});
+        out.index_masks.push_back({plan.order[oi], mask});
       }
+    } else if (lit.kind == CompiledLiteral::Kind::kNegation && mask != 0) {
+      // Negation probes MatchesIds for any nonzero mask (incl. full).
+      out.index_masks.push_back({plan.order[oi], mask});
     }
-    BindLiteralOutputs(lit, &st);
   }
   return out;
 }
 
-Result<std::vector<int>> ScheduleOrder(const CompiledRule& cr,
-                                       int forced_first) {
-  std::vector<int> order;
+}  // namespace
+
+RulePlan PlanRule(const CompiledRule& cr, int forced_first) {
+  RulePlan plan;
+  plan.bound.assign(cr.vars.size(), false);
   std::vector<bool> done(cr.body.size(), false);
-  SchedState st;
-  st.bound.resize(cr.vars.size(), false);
-  if (forced_first >= 0) {
-    order.push_back(forced_first);
-    done[static_cast<size_t>(forced_first)] = true;
-    BindLiteralOutputs(cr.body[static_cast<size_t>(forced_first)], &st);
-  }
-  while (order.size() < cr.body.size()) {
+  auto take = [&](int idx) {
+    const CompiledLiteral& lit = cr.body[static_cast<size_t>(idx)];
+    uint64_t mask = 0;
+    for (size_t i = 0; i < lit.cols.size(); ++i) {
+      if (ArgGround(lit.cols[i], plan)) mask |= uint64_t{1} << i;
+    }
+    plan.order.push_back(idx);
+    plan.masks.push_back(mask);
+    done[static_cast<size_t>(idx)] = true;
+    BindLiteralOutputs(lit, &plan);
+  };
+  if (forced_first >= 0) take(forced_first);
+  while (plan.order.size() < cr.body.size()) {
     int best = -1;
     int best_score = -1;
     for (size_t i = 0; i < cr.body.size(); ++i) {
       if (done[i]) continue;
-      int score = ScheduleScore(cr, i, st);
+      int score = ScheduleScore(cr, i, plan);
       if (score > best_score) {
         best_score = score;
         best = static_cast<int>(i);
       }
     }
-    if (best < 0 || best_score < 0) {
-      return util::UnsafeProgram(util::StrCat(
-          "no safe evaluation order for rule: ", PrintRule(cr.source)));
-    }
-    order.push_back(best);
-    done[static_cast<size_t>(best)] = true;
-    BindLiteralOutputs(cr.body[static_cast<size_t>(best)], &st);
+    if (best < 0) break;  // stuck: nothing left is schedulable
+    take(best);
   }
-  return order;
+  for (size_t i = 0; i < cr.body.size(); ++i) {
+    if (!done[i]) plan.unscheduled.push_back(static_cast<int>(i));
+  }
+  return plan;
 }
 
-}  // namespace
+std::vector<int> BlockingSlots(const CompiledRule& cr, const RulePlan& plan,
+                               int idx) {
+  const CompiledLiteral& lit = cr.body[static_cast<size_t>(idx)];
+  const bool negation = lit.kind == CompiledLiteral::Kind::kNegation;
+  std::set<int> elsewhere;
+  if (negation) elsewhere = SlotsUsedElsewhere(cr, static_cast<size_t>(idx));
+  std::vector<int> out;
+  for (const CompiledArg& c : lit.cols) {
+    if (lit.kind == CompiledLiteral::Kind::kRelation &&
+        c.kind != CompiledArg::Kind::kExpr) {
+      continue;  // only arithmetic columns block a relation literal
+    }
+    for (int slot : c.term_slots) {
+      if (plan.IsBound(slot) || (negation && elsewhere.count(slot) == 0) ||
+          std::find(out.begin(), out.end(), slot) != out.end()) {
+        continue;
+      }
+      out.push_back(slot);
+    }
+  }
+  return out;
+}
 
-Result<std::unique_ptr<CompiledRule>> CompileRule(
-    const Rule& rule, const BuiltinRegistry& builtins) {
+std::vector<std::string> UnboundHeadVars(const CompiledRule& cr,
+                                         const RulePlan& plan) {
+  std::vector<std::string> names;
+  for (const CompiledArg& c : cr.head_cols) CollectShallow(c.term, &names);
+  std::vector<std::string> out;
+  for (const std::string& name : names) {
+    if (cr.agg.has_value() && name == cr.agg->result_var) continue;
+    if (plan.IsBound(cr.vars.Find(name)) ||
+        std::find(out.begin(), out.end(), name) != out.end()) {
+      continue;
+    }
+    out.push_back(name);
+  }
+  return out;
+}
+
+Status ClassifyRule(const Rule& rule, const BuiltinRegistry& builtins,
+                    CompiledRule* cr) {
   LB_RETURN_IF_ERROR(ValidateInstallableRule(rule));
-  auto cr = std::make_unique<CompiledRule>();
-  cr->source = CloneRule(rule);
   cr->agg = rule.aggregate;
-
   const Atom& head = rule.heads[0];
   cr->head_pred = head.predicate;
   cr->head_cols = CompileAtomCols(head, &cr->vars);
@@ -532,6 +545,7 @@ Result<std::unique_ptr<CompiledRule>> CompileRule(
     return util::TypeError("predicates are limited to 64 columns");
   }
 
+  cr->body.reserve(rule.body.size());
   for (const Literal& lit : rule.body) {
     CompiledLiteral cl;
     if (lit.atom.Arity() > Relation::kMaxArity) {
@@ -567,54 +581,55 @@ Result<std::unique_ptr<CompiledRule>> CompileRule(
     }
     cr->body.push_back(std::move(cl));
   }
+  return util::OkStatus();
+}
 
-  LB_ASSIGN_OR_RETURN(cr->order_full, ScheduleOrder(*cr, -1));
-  for (int pos : cr->relation_positions) {
-    LB_ASSIGN_OR_RETURN(std::vector<int> order, ScheduleOrder(*cr, pos));
-    cr->order_delta[pos] = std::move(order);
-  }
+Result<std::unique_ptr<CompiledRule>> CompileRule(
+    const Rule& rule, const BuiltinRegistry& builtins) {
+  auto cr = std::make_unique<CompiledRule>();
+  LB_RETURN_IF_ERROR(ClassifyRule(rule, builtins, cr.get()));
+  cr->source = CloneRule(rule);
+  auto no_order = [&] {
+    return util::UnsafeProgram(util::StrCat(
+        "no safe evaluation order for rule: ", PrintRule(cr->source)));
+  };
+
+  RulePlan plan = PlanRule(*cr, -1);
+  if (!plan.ok()) return no_order();
   cr->parallel_safe = RuleParallelSafe(*cr);
-  if (cr->parallel_safe) {
-    cr->probes_full = ComputeOrderProbes(*cr, cr->order_full);
-    for (const auto& [pos, order] : cr->order_delta) {
-      cr->probes_delta[pos] = ComputeOrderProbes(*cr, order);
-    }
+  if (cr->parallel_safe) cr->probes_full = ProbesOf(*cr, plan);
+  for (int pos : cr->relation_positions) {
+    RulePlan delta = PlanRule(*cr, pos);
+    if (!delta.ok()) return no_order();
+    if (cr->parallel_safe) cr->probes_delta[pos] = ProbesOf(*cr, delta);
+    cr->order_delta[pos] = std::move(delta.order);
   }
 
-  // Safety: head variables outside quoted code must be bound by the body.
-  SchedState st;
-  st.bound.resize(cr->vars.size(), false);
-  for (int idx : cr->order_full) {
-    BindLiteralOutputs(cr->body[static_cast<size_t>(idx)], &st);
-  }
+  // Safety: the aggregate input and every head variable outside quoted
+  // code must be bound by the body; the aggregate result must not be.
   if (cr->agg.has_value()) {
     cr->agg_input_slot = cr->vars.Find(cr->agg->input_var);
-    if (cr->agg_input_slot < 0 || !st.IsBound(cr->agg_input_slot)) {
+    if (!plan.IsBound(cr->agg_input_slot)) {
       return util::UnsafeProgram(util::StrCat(
           "aggregate input variable '", cr->agg->input_var,
           "' is not bound by the body: ", PrintRule(rule)));
     }
     cr->agg_result_slot = cr->vars.Find(cr->agg->result_var);
-    if (cr->agg_result_slot >= 0 && st.IsBound(cr->agg_result_slot)) {
+    if (plan.IsBound(cr->agg_result_slot)) {
       return util::UnsafeProgram(util::StrCat(
           "aggregate result variable '", cr->agg->result_var,
           "' must not be bound by the body: ", PrintRule(rule)));
     }
     if (cr->agg_result_slot < 0) cr->agg_result_slot = cr->vars.Intern(cr->agg->result_var);
   }
-  std::vector<std::string> head_vars;
-  if (head.partition) CollectShallow(*head.partition, &head_vars);
-  for (const Term& t : head.args) CollectShallow(t, &head_vars);
-  for (const std::string& name : head_vars) {
-    int slot = cr->vars.Find(name);
-    bool is_agg_result =
-        cr->agg.has_value() && name == cr->agg->result_var;
-    if (!is_agg_result && (slot < 0 || !st.IsBound(slot))) {
-      return util::UnsafeProgram(util::StrCat(
-          "head variable '", name, "' is not bound by the body: ",
-          PrintRule(rule)));
-    }
+  std::vector<std::string> unbound = UnboundHeadVars(*cr, plan);
+  if (!unbound.empty()) {
+    return util::UnsafeProgram(util::StrCat(
+        "head variable '", unbound[0], "' is not bound by the body: ",
+        PrintRule(rule)));
   }
+  cr->order_full = std::move(plan.order);
+  cr->masks_full = std::move(plan.masks);
   return cr;
 }
 

@@ -115,6 +115,8 @@ struct CompiledRule {
   int agg_result_slot = -1;
 
   std::vector<int> order_full;               ///< literal visit order
+  std::vector<uint64_t> masks_full;          ///< probe mask per order_full
+                                             ///< position (RulePlan::masks)
   std::map<int, std::vector<int>> order_delta;  ///< per delta position
   std::vector<int> relation_positions;       ///< body idx of kRelation lits
 
@@ -129,9 +131,8 @@ struct CompiledRule {
   bool parallel_safe = false;
 
   /// For parallel-safe rules: the probe masks each evaluation order needs,
-  /// derived statically from the schedule (a column is bound at position
-  /// `oi` iff it is a constant or bound by an earlier literal — for
-  /// const/var-only rules runtime boundness equals scheduled boundness).
+  /// taken from the plan's masks (for const/var-only rules runtime
+  /// boundness equals planned boundness).
   /// The parallel evaluator pre-builds exactly these indexes before
   /// freezing the round's relations.
   struct OrderProbes {
@@ -148,8 +149,57 @@ struct CompiledRule {
   std::map<int, OrderProbes> probes_delta;  ///< keyed like order_delta
 };
 
-/// Compiles and safety-checks a rule. Fails with kUnsafeProgram when no
-/// evaluation order can bind every head variable / negation / builtin input.
+/// The greedy literal schedule of one compiled rule: the only scheduler.
+/// CompileRule executes it, lint phrases its failures and EXPLAIN prints
+/// it. A literal is schedulable when every input it needs is bound; the
+/// highest-scoring schedulable one goes next (equalities, then builtins,
+/// negations, and relations by bound-column count).
+struct RulePlan {
+  /// Body indices in visit order; the scheduled prefix when stuck.
+  std::vector<int> order;
+  /// Probe mask at each `order` position: bit i is set iff every slot in
+  /// column i's term_slots is bound there (constants always are).
+  std::vector<uint64_t> masks;
+  /// Per slot: bound after `order` ran.
+  std::vector<bool> bound;
+  /// Body indices no order could reach, ascending; empty on success.
+  std::vector<int> unscheduled;
+
+  bool ok() const { return unscheduled.empty(); }
+  bool IsBound(int slot) const {
+    return slot >= 0 && slot < static_cast<int>(bound.size()) && bound[slot];
+  }
+};
+
+/// Step one of CompileRule: checks the rule is installable
+/// (ValidateInstallableRule), interns every variable — quoted-code
+/// variables included — to a slot, and classifies the head and body
+/// literals. Fails with kTypeError on a literal wider than 64 columns or
+/// a builtin called at the wrong arity. `source`, the orders, the probes
+/// and the aggregate slots stay unset.
+util::Status ClassifyRule(const Rule& rule, const BuiltinRegistry& builtins,
+                          CompiledRule* cr);
+
+/// Step two: plans the body of a classified rule, leading with body
+/// literal `forced_first` when it is >= 0 (the delta orders).
+RulePlan PlanRule(const CompiledRule& cr, int forced_first);
+
+/// The unbound slots that keep body literal `idx` off a stuck `plan`, in
+/// column order without repeats: a negation's variables shared with the
+/// rest of the rule, a builtin's or equality's arguments, or the
+/// variables of a relation literal's arithmetic columns.
+std::vector<int> BlockingSlots(const CompiledRule& cr, const RulePlan& plan,
+                               int idx);
+
+/// Head variables outside quoted code that `plan` leaves unbound, in head
+/// order without repeats; an aggregate's result variable is exempt.
+std::vector<std::string> UnboundHeadVars(const CompiledRule& cr,
+                                         const RulePlan& plan);
+
+/// Compiles and safety-checks a rule: ClassifyRule, then PlanRule for the
+/// full order and every delta position. Fails with kUnsafeProgram when no
+/// evaluation order can bind every head variable / negation / builtin
+/// input.
 util::Result<std::unique_ptr<CompiledRule>> CompileRule(
     const Rule& rule, const BuiltinRegistry& builtins);
 

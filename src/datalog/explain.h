@@ -15,15 +15,16 @@ namespace lbtrust::datalog {
 enum class ExplainFormat { kText, kJson };
 
 /// Renders one compiled rule's plan: the literal schedule actually
-/// executed (full order plus each per-delta-position order), the static
-/// probe mask at every scheduled position (a column counts as bound iff it
-/// is a constant or was bound by an earlier literal — the same replay the
-/// parallel evaluator derives its index masks from), and — when `metrics`
+/// executed (full order plus each per-delta-position order), the probe
+/// mask PlanRule recorded at every scheduled position of the full order
+/// (a column counts as bound iff all its variables were bound by earlier
+/// literals — the masks the parallel evaluator pre-builds indexes for),
+/// and — when `metrics`
 /// is non-null — the measured side: per-rule cumulative
 /// evals/derived/probes/eval-time counters and per-relation probe/hit
 /// selectivities (`lbtrust_relation_{probes,probe_hits}_total`). This is
 /// the Prepare()-time stats feed cost-based join ordering consumes
-/// (ROADMAP item 5): plan = what the static scheduler chose, selectivity =
+/// (ROADMAP item 4): plan = what the static scheduler chose, selectivity =
 /// what the workload measured, disagreement = reorder opportunity.
 /// `diagnostics` (optional) are this rule's lint findings: the JSON form
 /// always carries a `"diagnostics"` array (empty when null/none) so

@@ -14,11 +14,13 @@
 namespace lbtrust::datalog {
 
 /// Static program analysis ("lint"): proves a program safe before it
-/// touches a workspace, and explains *why* when it is not. The checks
-/// mirror the engine's own compile/stratification semantics exactly — a
-/// lint *error* means CompileRule or Stratify would reject the program —
-/// but report structured diagnostics (the offending variable, predicate
-/// and schedule position) instead of the engine's bare status strings.
+/// touches a workspace, and explains *why* when it is not. The per-rule
+/// safety checks run the engine's own plan (ClassifyRule + PlanRule, what
+/// CompileRule executes), so an L001-L005 error or a classification L030
+/// is a CompileRule rejection by construction; stratification follows
+/// the engine's Stratify semantics. Lint reports structured diagnostics
+/// (the offending variable, predicate and schedule position) instead of
+/// the engine's bare status strings.
 ///
 /// Diagnostic codes:
 ///   L000  program does not parse                              (error)
@@ -106,15 +108,22 @@ LintReport LintRules(const std::vector<const Rule*>& rules,
 
 /// Like LintRules but with schema constraints included: constraint
 /// literals participate in the arity analysis and anchor dead-code
-/// reachability. This is the workspace's ingress entry point — rules and
-/// constraints arrive already me-resolved and routed, so no re-parse.
+/// reachability (Workspace::LintRules over the installed rule set).
 LintReport LintResolved(const std::vector<const Rule*>& rules,
                         const std::vector<const Constraint*>& constraints,
                         const LintOptions& opts = LintOptions());
 
-/// Parses `program` (rules, facts, constraints), me-resolves it against
-/// `principal` exactly as Workspace::Load would, and lints the result.
-/// A parse failure yields a single L000 diagnostic.
+/// Lints a routed program (RouteClauses' output, me-resolved against
+/// `principal`, which also counts as self for the L060 says check). The
+/// ingress entry point of Workspace::Load and the credential importer:
+/// the program was parsed once, and is not parsed again.
+LintReport LintRouted(const std::vector<RoutedClause>& routed,
+                      const std::string& principal,
+                      const LintOptions& opts = LintOptions());
+
+/// Parses `program` (rules, facts, constraints), routes it against
+/// `principal` exactly as Workspace::Load does, and lints the result
+/// (LintRouted). A parse failure yields a single L000 diagnostic.
 LintReport LintProgram(std::string_view program, const std::string& principal,
                        const LintOptions& opts = LintOptions());
 

@@ -423,8 +423,8 @@ class Workspace {
   util::Status LoadClauses(const std::string& principal,
                            std::string_view program);
   /// Shared program-clause routing for Load and Transaction::AddProgram:
-  /// parses `program`, me-resolves every clause against `principal`,
-  /// splits multi-head rules, and dispatches — single-head rules (and
+  /// parses `program`, routes it against `principal` (RouteClauses),
+  /// lints it per Options::lint, and dispatches — single-head rules (and
   /// fact clauses) to `on_rule`, raw `fail() <- body.` constraints to
   /// `on_fail_constraint`, `lhs -> rhs.` constraints to `on_constraint`.
   util::Status RouteProgramClauses(

@@ -25,9 +25,14 @@
 #   build-dir  must contain the lbtrust_node binary (defaults to build-ci,
 #              matching tools/ci.sh)
 # Environment:
-#   DIST_SMOKE_BASE_PORT   first listen port (default 46100; each scenario
-#                          uses six consecutive ports from there: three
-#                          transport, three HTTP)
+#   DIST_SMOKE_BASE_PORT   first listen port; each scenario then uses six
+#                          consecutive ports from there (three transport,
+#                          three HTTP), the second scenario starting 10
+#                          higher. Unset (the default), each scenario asks
+#                          the OS for six free localhost ports just before
+#                          it starts. That narrows a clash with another
+#                          process to the short window between probing and
+#                          binding; it does not close it.
 #   DIST_SMOKE_TIMEOUT_MS  per-node convergence deadline (default 30000)
 set -euo pipefail
 
@@ -35,7 +40,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-ci}"
 NODE_BIN="${BUILD_DIR}/lbtrust_node"
-BASE_PORT="${DIST_SMOKE_BASE_PORT:-46100}"
+BASE_PORT="${DIST_SMOKE_BASE_PORT:-}"
 TIMEOUT_MS="${DIST_SMOKE_TIMEOUT_MS:-30000}"
 
 if [[ ! -x "${NODE_BIN}" ]]; then
@@ -47,16 +52,42 @@ WORK="$(mktemp -d)"
 NODE_PIDS=()
 trap 'kill "${NODE_PIDS[@]}" 2>/dev/null || true; rm -rf "${WORK}"' EXIT
 
+# Prints six distinct free localhost ports: all six sockets are bound to
+# port 0 at once, so the OS hands out six different ports, then closed.
+free_ports() {
+  python3 - <<'EOF'
+import socket
+socks = [socket.socket() for _ in range(6)]
+for s in socks:
+    s.bind(("127.0.0.1", 0))
+print(" ".join(str(s.getsockname()[1]) for s in socks))
+for s in socks:
+    s.close()
+EOF
+}
+
+# Six ports for scenario number $1 (0-based): the fixed block when
+# DIST_SMOKE_BASE_PORT is set, else six free ones from the OS.
+scenario_ports() {
+  if [[ -n "${BASE_PORT}" ]]; then
+    local first=$((BASE_PORT + 10 * $1))
+    echo $(seq "${first}" $((first + 5)))
+  else
+    free_ports
+  fi
+}
+
+# run_scenario NAME PA PB PC HA HB HC: transport ports, then HTTP ports.
 run_scenario() {
-  local scenario="$1" port="$2"
+  local scenario="$1"
+  local pa="$2" pb="$3" pc="$4" ha="$5" hb="$6" hc="$7"
   local sim="${WORK}/${scenario}/sim" dist="${WORK}/${scenario}/dist"
   mkdir -p "${sim}" "${dist}"
 
-  echo "== dist_smoke: ${scenario} (ports ${port}-$((port + 5)))"
+  echo "== dist_smoke: ${scenario} (ports ${pa} ${pb} ${pc}," \
+    "http ${ha} ${hb} ${hc})"
   "${NODE_BIN}" --mode=sim --scenario="${scenario}" --outdir="${sim}"
 
-  local pa=$port pb=$((port + 1)) pc=$((port + 2))
-  local ha=$((port + 3)) hb=$((port + 4)) hc=$((port + 5))
   "${NODE_BIN}" --mode=node --self=a --scenario="${scenario}" --port="${pa}" \
     --peers="b=127.0.0.1:${pb},c=127.0.0.1:${pc}" \
     --out="${dist}/a.dump" --metrics-out="${dist}/a.metrics" \
@@ -254,6 +285,8 @@ print(f"dist_smoke: merged trace -> {out_path} "
 EOF
 }
 
-run_scenario delegation "${BASE_PORT}"
-run_scenario linked "$((BASE_PORT + 10))"
+# shellcheck disable=SC2046  # six whitespace-separated port arguments
+run_scenario delegation $(scenario_ports 0)
+# shellcheck disable=SC2046
+run_scenario linked $(scenario_ports 1)
 echo "dist_smoke: OK"

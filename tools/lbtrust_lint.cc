@@ -82,27 +82,13 @@ void AddJoinOrderFindings(const std::string& text,
   if (!clauses.ok()) return;  // L000 already reported
   std::map<std::string, size_t> fact_counts;
   std::vector<lbtrust::datalog::Rule> rules;
-  for (lbtrust::datalog::ParsedClause& clause : *clauses) {
-    if (clause.kind != lbtrust::datalog::ParsedClause::Kind::kRule) continue;
-    for (lbtrust::datalog::Rule& rule : clause.rules) {
-      lbtrust::datalog::Rule resolved =
-          lbtrust::datalog::ResolveMeRule(rule, principal);
-      if (resolved.IsFact()) {
-        for (const lbtrust::datalog::Atom& h : resolved.heads) {
-          std::vector<std::string> vars;
-          lbtrust::datalog::CollectAtomVars(h, &vars);
-          if (vars.empty()) ++fact_counts[h.predicate];
-        }
-        continue;
-      }
-      for (const lbtrust::datalog::Atom& head : resolved.heads) {
-        lbtrust::datalog::Rule single;
-        single.label = resolved.label;
-        single.heads = {lbtrust::datalog::CloneAtom(head)};
-        single.body = resolved.body;
-        single.aggregate = resolved.aggregate;
-        rules.push_back(std::move(single));
-      }
+  for (lbtrust::datalog::RoutedClause& item :
+       lbtrust::datalog::RouteClauses(*clauses, principal)) {
+    if (item.kind != lbtrust::datalog::RoutedClause::Kind::kRule) continue;
+    if (!item.rule.IsFact()) {
+      rules.push_back(std::move(item.rule));
+    } else if (lbtrust::datalog::IsGroundFact(item.rule)) {
+      ++fact_counts[item.rule.heads[0].predicate];
     }
   }
   lbtrust::datalog::BuiltinRegistry builtins;
